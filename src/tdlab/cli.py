@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -59,14 +60,54 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
-def _env_int(name: str, fallback: int | None) -> int | None:
-    raw = _env(name)
-    return fallback if raw is None else int(raw)
+def _count(text: str) -> int:
+    """A non-negative integer: a node budget or a memo capacity."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
-def _env_float(name: str, fallback: float | None) -> float | None:
-    raw = _env(name)
-    return fallback if raw is None else float(raw)
+def _seconds(text: str) -> float:
+    """A time budget: a finite, non-negative number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite, non-negative number of seconds, got {text!r}"
+        )
+    return value
+
+
+# Options with an environment mirror: dest -> (variable, parser, fallback).
+# The parser leaves them None when no flag is given; _apply_env fills them in
+# inside main's error handling, so a bad value is a usage error, not a crash.
+_ENV_OPTIONS = {
+    "threads": ("THREADS", int, 1),
+    "node_budget": ("NODE_BUDGET", _count, None),
+    "time_budget": ("TIME_BUDGET", _seconds, None),
+    "memo_capacity": ("MEMO_CAPACITY", _count, None),
+    "seed": ("SEED", int, 0),
+}
+
+
+def _apply_env(args: argparse.Namespace) -> None:
+    for dest, (name, parse, fallback) in _ENV_OPTIONS.items():
+        if not hasattr(args, dest) or getattr(args, dest) is not None:
+            continue
+        raw = _env(name)
+        if raw is None:
+            setattr(args, dest, fallback)
+            continue
+        try:
+            setattr(args, dest, parse(raw))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{ENV_PREFIX}{name}: {exc}") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -80,19 +121,19 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _solver_options() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
-        "--threads", type=int, default=_env_int("THREADS", 1),
+        "--threads", type=int,
         help="worker threads for independent sub-solves (default 1)",
     )
     p.add_argument(
-        "--node-budget", type=int, default=_env_int("NODE_BUDGET", None),
+        "--node-budget", type=_count,
         help="abort with bounds after this many expanded nodes",
     )
     p.add_argument(
-        "--time-budget", type=float, default=_env_float("TIME_BUDGET", None),
+        "--time-budget", type=_seconds,
         metavar="SECONDS", help="abort with bounds after this much wall time",
     )
     p.add_argument(
-        "--memo-capacity", type=int, default=_env_int("MEMO_CAPACITY", None),
+        "--memo-capacity", type=_count,
         help="abort with bounds beyond this many memo entries",
     )
     return p
@@ -386,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("selftest", help="reduced-scale cross-validation suites")
-    p.add_argument("--seed", type=int, default=_env_int("SEED", 0),
-                   help="seed for the randomized spot checks")
+    p.add_argument("--seed", type=int,
+                   help="seed for the randomized spot checks (default 0)")
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -400,6 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _apply_env(args)
         return args.func(args)
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

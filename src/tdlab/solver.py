@@ -7,6 +7,12 @@ over vertex subsets of a fixed root graph. Every subproblem of the
 recursion is a connected induced subgraph, so the memo key is just the
 subset mask, one machine word.
 
+Only connected masks are ever memoized. The search relies on this: when a
+branch removes v from a connected mask and the rest is in the memo, the rest
+is one component with a known value, so no split is needed. On a miss the
+rest is split by a search from v's neighbours, which stops as soon as it has
+reached all of them, since every component of the rest contains one.
+
 The brute-force oracle searches the space of labelings instead of the space
 of elimination orders, which keeps the two routes to a tree-depth value
 independent of each other.
@@ -23,7 +29,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_indices, component_masks, component_of
+from .graphs import Graph, component_masks, component_of
 from .ranking import Ranking
 
 BRUTE_FORCE_MAX_VERTICES = 8
@@ -95,37 +101,73 @@ def _dfs_height(adj: tuple[int, ...], mask: int, root: int) -> int:
     Neighbours are explored in ascending order, so the value is
     deterministic. Every non-tree edge of a DFS tree joins an ancestor to a
     descendant, hence labeling each vertex with height - depth + 1 is
-    feasible and the height is an upper bound for the tree-depth.
+    feasible and the height is an upper bound for the tree-depth. The stack
+    is the tree path from the root, so its length is the depth of its top.
     """
-    visited = 1 << root
-    depth = {root: 1}
+    unvisited = mask & ~(1 << root)
     stack = [root]
     height = 1
     while stack:
-        u = stack[-1]
-        free = adj[u] & mask & ~visited
+        free = adj[stack[-1]] & unvisited
         if free:
-            w = (free & -free).bit_length() - 1
-            visited |= 1 << w
-            d = depth[u] + 1
-            depth[w] = d
-            if d > height:
-                height = d
-            stack.append(w)
+            low = free & -free
+            unvisited ^= low
+            stack.append(low.bit_length() - 1)
+            if len(stack) > height:
+                height = len(stack)
         else:
             stack.pop()
     return height
 
 
-def _greedy_clique(adj: tuple[int, ...], mask: int) -> int:
-    order = sorted(
-        bit_indices(mask), key=lambda v: (-(adj[v] & mask).bit_count(), v)
-    )
+def _branch_order(adj: tuple[int, ...], mask: int) -> list[int]:
+    """Vertices of `mask` by decreasing degree inside `mask`, ties by lowest index.
+
+    This is the solver's one branch order: the search, the witness rebuild
+    and the greedy clique bound all use it. Degrees and indices are below
+    64, so one packed integer key per vertex sorts the same way as the pair.
+    """
+    keys = []
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        keys.append((64 - (adj[v] & mask).bit_count()) << 6 | v)
+        m ^= low
+    keys.sort()
+    return [k & 63 for k in keys]
+
+
+def _greedy_clique(adj: tuple[int, ...], order: list[int]) -> int:
+    """Size of the clique built greedily along `order`, a lower bound."""
     clique = 0
     for v in order:
         if clique & ~adj[v] == 0:
             clique |= 1 << v
     return clique.bit_count()
+
+
+def _split(adj: tuple[int, ...], rest: int, nbrs: int) -> list[int]:
+    """Components of `rest`, given that each of them contains a vertex of `nbrs`.
+
+    `rest` is a connected mask with one vertex v removed and `nbrs` is
+    `adj[v] & rest`. The search from the lowest neighbour returns `[rest]`
+    as soon as it has reached every neighbour; only when v is a cut vertex
+    does the full split run, which orders the components by lowest vertex.
+    """
+    comp = frontier = nbrs & -nbrs
+    while frontier:
+        if nbrs & ~comp == 0:
+            return [rest]
+        grow = 0
+        f = frontier
+        while f:
+            low = f & -f
+            grow |= adj[low.bit_length() - 1]
+            f ^= low
+        frontier = grow & rest & ~comp
+        comp |= frontier
+    return component_masks(adj, rest)
 
 
 def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
@@ -190,26 +232,34 @@ class _Search:
         root = (mask & -mask).bit_length() - 1
         height = _dfs_height(adj, mask, root)
         best = height
-        lb = max(_greedy_clique(adj, mask), _ceil_log2(height + 1))
+        order = _branch_order(adj, mask)
+        lb = max(_greedy_clique(adj, order), _ceil_log2(height + 1))
         if lb < best:
-            order = sorted(
-                bit_indices(mask),
-                key=lambda v: (-(adj[v] & mask).bit_count(), v),
-            )
             for v in order:
                 rest = mask ^ (1 << v)
-                comps = component_masks(adj, rest)
-                guess = 0
-                for c in comps:
-                    known = memo.get(c)
-                    guess = max(guess, known if known is not None else self._cheap_lb(c))
-                if 1 + guess >= best:
-                    continue
-                worst = 0
-                for c in sorted(comps, key=lambda c: -c.bit_count()):
-                    worst = max(worst, self.solve_conn(c))
-                    if 1 + worst >= best:
-                        break
+                # Only connected masks are memoized, so a hit is the value of
+                # the whole rest and needs no split.
+                worst = memo.get(rest)
+                if worst is None:
+                    comps = _split(adj, rest, adj[v] & rest)
+                    if len(comps) == 1:
+                        # One component, known to be missing from the memo.
+                        if 1 + self._cheap_lb(rest) >= best:
+                            continue
+                        worst = self.solve_conn(rest)
+                    else:
+                        guess = 0
+                        for c in comps:
+                            known = memo.get(c)
+                            guess = max(guess, known if known is not None else self._cheap_lb(c))
+                        if 1 + guess >= best:
+                            continue
+                        worst = 0
+                        comps.sort(key=int.bit_count, reverse=True)
+                        for c in comps:
+                            worst = max(worst, self.solve_conn(c))
+                            if 1 + worst >= best:
+                                break
                 if 1 + worst < best:
                     best = 1 + worst
                     if best <= lb:
@@ -242,12 +292,9 @@ class _Search:
             out[mask.bit_length() - 1] = 1
             return
         target = self.solve_conn(mask)
-        order = sorted(
-            bit_indices(mask), key=lambda v: (-(adj[v] & mask).bit_count(), v)
-        )
-        for v in order:
+        for v in _branch_order(adj, mask):
             rest = mask ^ (1 << v)
-            comps = component_masks(adj, rest)
+            comps = _split(adj, rest, adj[v] & rest)
             if 1 + max(self.solve_conn(c) for c in comps) == target:
                 out[v] = target
                 for c in comps:
@@ -357,7 +404,10 @@ def bounds(g: Graph) -> Bounds:
     if g.n <= _EXACT_CLIQUE_MAX:
         clique = _max_clique(adj, full)
     else:
-        clique = max(_greedy_clique(adj, comp) for comp in component_masks(adj, full))
+        clique = max(
+            _greedy_clique(adj, _branch_order(adj, comp))
+            for comp in component_masks(adj, full)
+        )
     return Bounds(max(clique, _ceil_log2(longest + 2)), upper)
 
 

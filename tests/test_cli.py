@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from tdlab.cli import main
 from tdlab.formats import format_graph_text, parse_graph_text
 from tdlab.graphs import cartesian_k2, complete, cycle, hn, k_net, path
@@ -262,6 +264,64 @@ def test_env_format_mirror(tmp_path, capsys, monkeypatch):
 def test_env_node_budget_mirror(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TDLAB_NODE_BUDGET", "3")
     code, _, _ = run(capsys, ["td", write_graph(tmp_path, hn(5)[0])])
+    assert code == 3
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("THREADS", "abc"),
+        ("NODE_BUDGET", "many"),
+        ("TIME_BUDGET", "soon"),
+        ("MEMO_CAPACITY", "1.5"),
+        ("SEED", "x"),
+    ],
+)
+def test_env_malformed_value_is_usage_error(tmp_path, capsys, monkeypatch, name, value):
+    monkeypatch.setenv("TDLAB_" + name, value)
+    argv = ["selftest"] if name == "SEED" else ["td", write_graph(tmp_path, cycle(5))]
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert f"TDLAB_{name}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--node-budget", "-5"),
+        ("--memo-capacity", "-1"),
+        ("--time-budget", "-1"),
+        ("--time-budget", "nan"),
+        ("--time-budget", "inf"),
+    ],
+)
+def test_invalid_budget_flag_is_usage_error(tmp_path, capsys, flag, value):
+    code, out, err = run(capsys, ["td", write_graph(tmp_path, cycle(5)), flag, value])
+    assert code == 4
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("NODE_BUDGET", "-5"),
+        ("MEMO_CAPACITY", "-1"),
+        ("TIME_BUDGET", "-1"),
+        ("TIME_BUDGET", "nan"),
+    ],
+)
+def test_invalid_budget_env_is_usage_error(tmp_path, capsys, monkeypatch, name, value):
+    monkeypatch.setenv("TDLAB_" + name, value)
+    code, out, err = run(capsys, ["td", write_graph(tmp_path, cycle(5))])
+    assert code == 4
+    assert out == ""
+    assert f"TDLAB_{name}" in err
+
+
+def test_zero_budget_is_accepted(tmp_path, capsys):
+    code, _, _ = run(capsys, ["td", write_graph(tmp_path, hn(5)[0]), "--node-budget", "0"])
     assert code == 3
 
 

@@ -7,8 +7,10 @@ import pytest
 from tdlab.graphs import (
     Graph,
     apply_minor_step,
+    bit_indices,
     cartesian_k2,
     complete,
+    component_masks,
     cycle,
     hn,
     k_net,
@@ -18,9 +20,13 @@ from tdlab.graphs import (
 from tdlab.ranking import Ranking, verify_ranking
 from tdlab.selftest import iter_labeled_graphs, random_graph
 from tdlab.solver import (
+    DEFAULT_CONFIG,
     Bounds,
     BudgetExceededError,
     SolverConfig,
+    _branch_order,
+    _Search,
+    _split,
     bounds,
     brute_force_td,
     search_feasible_labeling,
@@ -83,6 +89,41 @@ def test_component_max_rule():
             offset += p.n
         g = Graph(offset, edges)
         assert treedepth(g).value == max(treedepth(p).value for p in parts)
+
+
+# -- search invariants --------------------------------------------------------
+
+def test_split_from_neighbours_matches_component_masks():
+    # The search splits a connected mask minus v from v's neighbours; the
+    # result must be the full split, in the same order, for every removal.
+    for n in range(2, 7):
+        for g in iter_labeled_graphs(n):
+            full = g.full_mask()
+            for v in range(n):
+                rest = full ^ (1 << v)
+                assert _split(g.adj, rest, g.adj[v] & rest) == component_masks(g.adj, rest)
+
+
+def test_branch_order_is_decreasing_degree_then_index():
+    rng = random.Random(5)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 12), rng.random())
+        for _ in range(10):
+            mask = rng.getrandbits(g.n)
+            expected = sorted(
+                bit_indices(mask), key=lambda v: (-(g.adj[v] & mask).bit_count(), v)
+            )
+            assert _branch_order(g.adj, mask) == expected
+
+
+def test_memo_holds_only_connected_masks():
+    # A memo hit on the rest of a removal is read as one solved component.
+    for g in [hn(6)[0], random_graph(random.Random(17), 12, 0.35)]:
+        search = _Search(g, DEFAULT_CONFIG)
+        search.certificate()
+        assert search.memo
+        for mask in search.memo:
+            assert component_masks(g.adj, mask) == [mask]
 
 
 # -- decision form -----------------------------------------------------------------
