@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 success, 1 property-check failure,
 2 parse error, 3 budget exhaustion, 4 usage error. Flags mirror environment
 variables with the TDLAB_ prefix (TDLAB_THREADS, TDLAB_NODE_BUDGET,
 TDLAB_TIME_BUDGET, TDLAB_MEMO_CAPACITY, TDLAB_FORMAT, TDLAB_SEED); an
-explicit flag wins over its environment variable.
+explicit flag wins over its environment variable. --threads and TDLAB_THREADS
+are still parsed but change nothing: every solve runs in the calling thread.
 
 Stdout is deterministic for identical inputs and flags; wall-clock timings
 go to stderr.
@@ -122,7 +123,7 @@ def _solver_options() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
         "--threads", type=int,
-        help="worker threads for independent sub-solves (default 1)",
+        help="accepted and ignored: every solve runs in the calling thread",
     )
     p.add_argument(
         "--node-budget", type=_count,
@@ -149,18 +150,11 @@ def _io_options() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from(args: argparse.Namespace) -> SolverConfig | None:
-    threads = getattr(args, "threads", 1)
-    node_budget = getattr(args, "node_budget", None)
-    time_budget = getattr(args, "time_budget", None)
-    memo_capacity = getattr(args, "memo_capacity", None)
-    if threads == 1 and node_budget is None and time_budget is None and memo_capacity is None:
-        return None
+def _config_from(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
-        node_budget=node_budget,
-        time_budget=time_budget,
-        threads=threads,
-        memo_capacity=memo_capacity,
+        node_budget=args.node_budget,
+        time_budget=args.time_budget,
+        memo_capacity=args.memo_capacity,
     )
 
 

@@ -17,7 +17,6 @@ direct method is in range and insists they agree.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import (
@@ -61,32 +60,19 @@ class CriticalityReport:
     is_critical: bool | None
 
 
-def _run_indexed(tasks, threads: int):
-    """Run tasks (no-arg callables) preserving order, optionally on a pool."""
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda t: t(), tasks))
-    return [t() for t in tasks]
-
-
 def is_critical(g: Graph, config: SolverConfig | None = None) -> CriticalityReport:
     """Certify whether every one-step minor has smaller tree-depth."""
     if g.n < 2:
         raise ValueError("criticality needs at least 2 vertices")
     base = treedepth(g, config).value
-    steps = one_step_minor_steps(g)
-
-    def solve_step(step: MinorStep):
+    results: list[StepResult] = []
+    inconclusive: list[MinorStep] = []
+    for step in one_step_minor_steps(g):
         minor = apply_minor_step(g, step)
         try:
-            return StepResult(step, treedepth(minor, config).value)
+            results.append(StepResult(step, treedepth(minor, config).value))
         except BudgetExceededError:
-            return step
-
-    threads = config.threads if config is not None else 1
-    outcomes = _run_indexed([lambda s=s: solve_step(s) for s in steps], threads)
-    results = tuple(o for o in outcomes if isinstance(o, StepResult))
-    inconclusive = tuple(o for o in outcomes if isinstance(o, MinorStep))
+            inconclusive.append(step)
     failing = tuple(r for r in results if r.td >= base)
     if failing:
         verdict: bool | None = False
@@ -96,9 +82,9 @@ def is_critical(g: Graph, config: SolverConfig | None = None) -> CriticalityRepo
         verdict = True
     return CriticalityReport(
         base_td=base,
-        steps=results,
+        steps=tuple(results),
         failing_steps=failing,
-        inconclusive_steps=inconclusive,
+        inconclusive_steps=tuple(inconclusive),
         is_critical=verdict,
     )
 
@@ -200,10 +186,7 @@ def uniqueness_report(
             witness = _lift_transform_witness(g, v, cert_h.witness)
         return VertexUniqueness(v, unique, unique, by_direct, witness)
 
-    threads = config.threads if config is not None else 1
-    per_vertex = tuple(
-        _run_indexed([lambda v=v: check(v) for v in range(g.n)], threads)
-    )
+    per_vertex = tuple(check(v) for v in range(g.n))
     non_unique = tuple(u.vertex for u in per_vertex if u.one_unique is False)
     if any(u.one_unique is None for u in per_vertex):
         overall: bool | None = None

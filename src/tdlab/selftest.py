@@ -3,8 +3,9 @@
 The CLI `selftest` command runs these: the exact solver against the
 labeling-space brute force on every connected labeled graph with at most 5
 vertices, the two 1-uniqueness methods against each other on the same range,
-and a seeded random spot check of minor monotonicity. The full-scale
-versions of the first two sweeps live in the acceptance test suite.
+and a seeded random spot check of minor monotonicity. Acceptance criteria 7
+and 8 (tests/test_acceptance.py) run the first two sweeps at full scale, on
+at most 6 vertices.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Graph, component_masks, component_of
 from .ranking import Ranking
@@ -37,17 +37,16 @@ BRUTE_FORCE_MAX_VERTICES = 8
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Resource limits and execution options for the exact solver.
+    """Resource limits of one solver call.
 
-    `threads` is consumed by the report-level operations (per-minor and
-    per-vertex solves run in a pool); the subset search itself is sequential.
-    `memo_capacity` caps the number of memo entries and acts as a resource
-    budget like the node and time budgets.
+    Each budget limits the new work of one `treedepth` or `treedepth_le`
+    call: nodes expanded, wall time, and the size the graph's memo may grow
+    to. Values already solved for the same graph in this process cost
+    nothing, so a call whose answer is cached never runs out.
     """
 
     node_budget: int | None = None
     time_budget: float | None = None
-    threads: int = 1
     memo_capacity: int | None = None
 
 
@@ -181,21 +180,25 @@ def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
 
 
 class _Search:
-    """Memoized branch-and-bound over connected vertex subsets of one graph."""
+    """One call's memoized branch-and-bound over connected vertex subsets of one graph.
 
-    __slots__ = ("adj", "n", "config", "memo", "nodes", "_start", "_deadline", "_cert")
+    `memo` is the graph's shared store. A mask's value is written only once
+    its subproblem is fully solved and never depends on the caller's
+    incumbent, so a call stopped by its budget leaves only exact values.
+    """
 
-    def __init__(self, g: Graph, config: SolverConfig):
+    __slots__ = ("adj", "n", "config", "memo", "nodes", "_start", "_deadline")
+
+    def __init__(self, g: Graph, config: SolverConfig, memo: dict[int, int]):
         self.adj = g.adj
         self.n = g.n
         self.config = config
-        self.memo: dict[int, int] = {}
+        self.memo = memo
         self.nodes = 0
         self._start = time.monotonic()
         self._deadline = (
             None if config.time_budget is None else self._start + config.time_budget
         )
-        self._cert: TdCertificate | None = None
 
     # -- resource accounting -------------------------------------------------
 
@@ -303,37 +306,39 @@ class _Search:
         raise AssertionError("no removal attains the memoized optimum")
 
     def certificate(self) -> TdCertificate:
-        if self._cert is None:
-            full = (1 << self.n) - 1
-            value = self.solve_set(full)
-            assignment = self.witness_assignment(full)
-            labels = tuple(assignment[v] for v in range(self.n))
-            self._cert = TdCertificate(value, Ranking(labels, value), self.stats())
-        return self._cert
+        full = (1 << self.n) - 1
+        value = self.solve_set(full)
+        assignment = self.witness_assignment(full)
+        labels = tuple(assignment[v] for v in range(self.n))
+        return TdCertificate(value, Ranking(labels, value), self.stats())
 
 
-# Default-configuration searches are cached per graph so that repeated calls
-# (including treedepth_le after treedepth) share one memo store. Concurrent
-# solves on one shared search are safe: every writer computes the identical
-# value for a memo key, so lookup/insert only needs the dict's own atomicity.
+@dataclass(slots=True)
+class _Solved:
+    """What is known of one graph: exact memo values and the finished certificate."""
+
+    memo: dict[int, int] = field(default_factory=dict)
+    cert: TdCertificate | None = None
+
+
+# Every call, budgeted or not, reads and writes its graph's entry; budgets and
+# node counts stay in the call's own _Search. Concurrent callers are safe: the
+# lock guards the cache, and every memo writer computes the identical value.
 _SEARCH_CACHE_SIZE = 4096
-_search_cache: OrderedDict[Graph, _Search] = OrderedDict()
+_search_cache: OrderedDict[Graph, _Solved] = OrderedDict()
 _search_cache_lock = threading.Lock()
 
 
-def _search_for(g: Graph, config: SolverConfig | None) -> _Search:
-    if config is not None and config != DEFAULT_CONFIG:
-        return _Search(g, config)
+def _solved_for(g: Graph) -> _Solved:
     with _search_cache_lock:
         hit = _search_cache.get(g)
         if hit is not None:
             _search_cache.move_to_end(g)
             return hit
-        search = _Search(g, DEFAULT_CONFIG)
-        _search_cache[g] = search
+        solved = _search_cache[g] = _Solved()
         if len(_search_cache) > _SEARCH_CACHE_SIZE:
             _search_cache.popitem(last=False)
-    return search
+    return solved
 
 
 def treedepth(g: Graph, config: SolverConfig | None = None) -> TdCertificate:
@@ -342,11 +347,18 @@ def treedepth(g: Graph, config: SolverConfig | None = None) -> TdCertificate:
     Raises BudgetExceededError (carrying certified Bounds) when a configured
     resource budget runs out before the exact value is known.
     """
-    search = _search_for(g, config)
+    solved = _solved_for(g)
+    if solved.cert is not None:
+        return solved.cert
+    search = _Search(g, config or DEFAULT_CONFIG, solved.memo)
     try:
-        return search.certificate()
+        solved.cert = search.certificate()
     except _BudgetHit as hit:
-        raise BudgetExceededError(str(hit), bounds(g), search.stats()) from None
+        quick = bounds(g)
+        if quick.lower == quick.upper:
+            return TdCertificate(quick.upper, _dfs_ranking(g), search.stats())
+        raise BudgetExceededError(str(hit), quick, search.stats()) from None
+    return solved.cert
 
 
 def treedepth_le(g: Graph, k: int, config: SolverConfig | None = None) -> bool:
@@ -362,7 +374,7 @@ def treedepth_le(g: Graph, k: int, config: SolverConfig | None = None) -> bool:
         return True
     if quick.lower > k:
         return False
-    search = _search_for(g, config)
+    search = _Search(g, config or DEFAULT_CONFIG, _solved_for(g).memo)
     try:
         return search.solve_set(g.full_mask()) <= k
     except _BudgetHit as hit:
@@ -409,6 +421,36 @@ def bounds(g: Graph) -> Bounds:
             for comp in component_masks(adj, full)
         )
     return Bounds(max(clique, _ceil_log2(longest + 2)), upper)
+
+
+def _dfs_ranking(g: Graph) -> Ranking:
+    """The ranking behind the upper bound of `bounds`.
+
+    Each component is searched as in `_dfs_height`, from its lowest vertex,
+    and a vertex at depth d of a tree of height h gets label h - d + 1. The
+    largest label is the upper bound.
+    """
+    adj = g.adj
+    labels = [0] * g.n
+    for comp in component_masks(adj, g.full_mask()):
+        root = (comp & -comp).bit_length() - 1
+        depth = {root: 1}
+        unvisited = comp & ~(1 << root)
+        stack = [root]
+        while stack:
+            free = adj[stack[-1]] & unvisited
+            if free:
+                low = free & -free
+                unvisited ^= low
+                v = low.bit_length() - 1
+                stack.append(v)
+                depth[v] = len(stack)
+            else:
+                stack.pop()
+        height = max(depth.values())
+        for v, d in depth.items():
+            labels[v] = height - d + 1
+    return Ranking(tuple(labels), max(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ graph on up to 6 vertices and take a minute or two combined.
 import random
 import time
 
-from tdlab.critical import is_critical, one_unique_direct, one_unique_starclique, uniqueness_report
+from tdlab.critical import is_critical, uniqueness_report
 from tdlab.formats import (
     format_edge_list,
     format_graph6,
@@ -29,7 +29,11 @@ from tdlab.graphs import (
     star_clique,
 )
 from tdlab.ranking import hn_minor_witness, verify_ranking, witness_hn, witness_kak2
-from tdlab.selftest import iter_labeled_graphs, random_graph
+from tdlab.selftest import (
+    oracle_equivalence_suite,
+    random_graph,
+    uniqueness_cross_validation_suite,
+)
 from tdlab.solver import brute_force_td, treedepth
 
 SEED = 20250810
@@ -107,40 +111,22 @@ def test_criterion_07_uniqueness_methods_cross_validation():
     # Every connected labeled graph on 2..6 vertices, every vertex. The single
     # graph on one vertex is outside the operations' n >= 2 precondition.
     t0 = time.monotonic()
-    checks = 0
-    disagreements = 0
-    for n in range(2, 7):
-        for g in iter_labeled_graphs(n):
-            for v in range(n):
-                by_transform = one_unique_starclique(g, v)
-                by_direct = one_unique_direct(g, v) is not None
-                if by_transform != by_direct:
-                    disagreements += 1
-                checks += 1
-    elapsed = time.monotonic() - t0
-    ok = disagreements == 0
-    _report(7, ok, f"{checks} vertex checks, {disagreements} disagreements ({elapsed:.1f}s)")
+    ok, detail = uniqueness_cross_validation_suite(6)
+    _report(7, ok, f"{detail} ({time.monotonic() - t0:.1f}s)")
 
 
 def test_criterion_08_oracle_equivalence():
     t0 = time.monotonic()
-    checks = 0
+    ok, detail = oracle_equivalence_suite(6)
     disagreements = 0
-    for n in range(1, 7):
-        for g in iter_labeled_graphs(n):
-            if treedepth(g).value != brute_force_td(g):
-                disagreements += 1
-            checks += 1
     rng = random.Random(SEED)
     for i in range(1000):
         g = random_graph(rng, 7 + (i & 1), rng.uniform(0.1, 0.9))
         if treedepth(g).value != brute_force_td(g):
             disagreements += 1
-        checks += 1
-    elapsed = time.monotonic() - t0
-    ok = disagreements == 0
-    _report(8, ok, f"{checks} graphs (exhaustive <=6 plus 1000 random 7-8), "
-                   f"{disagreements} disagreements ({elapsed:.1f}s)")
+    ok = ok and disagreements == 0
+    _report(8, ok, f"exhaustive: {detail}; 1000 random graphs on 7-8 vertices, "
+                   f"{disagreements} disagreements ({time.monotonic() - t0:.1f}s)")
 
 
 def test_criterion_09_witness_suite():

@@ -8,6 +8,7 @@ import pytest
 from tdlab.cli import main
 from tdlab.formats import format_graph_text, parse_graph_text
 from tdlab.graphs import cartesian_k2, complete, cycle, hn, k_net, path
+from tdlab.ranking import Ranking, verify_ranking
 from tdlab.solver import treedepth
 
 FAMILY_CASES = [
@@ -323,6 +324,23 @@ def test_invalid_budget_env_is_usage_error(tmp_path, capsys, monkeypatch, name, 
 def test_zero_budget_is_accepted(tmp_path, capsys):
     code, _, _ = run(capsys, ["td", write_graph(tmp_path, hn(5)[0]), "--node-budget", "0"])
     assert code == 3
+
+
+@pytest.mark.parametrize("graph6", ["A_", "Bo"])
+@pytest.mark.parametrize("flag", ["--node-budget", "--time-budget", "--memo-capacity"])
+def test_zero_budget_with_pinned_bounds_is_exact(tmp_path, capsys, graph6, flag):
+    # K2 and the 3-vertex path: the bounds meet, so a budget stop still
+    # yields the value and the DFS witness.
+    p = tmp_path / "g.g6"
+    p.write_text(graph6 + "\n")
+    code, out, _ = run(capsys, ["td", str(p), flag, "0"])
+    assert code == 0
+    assert "td: 2" in out
+    code, out, _ = run(capsys, ["td", str(p), flag, "0", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    witness = Ranking(tuple(doc["witness"]["labels"]), doc["witness"]["colors"])
+    assert verify_ranking(parse_graph_text(graph6 + "\n"), witness) is None
 
 
 def test_flag_overrides_env(tmp_path, capsys, monkeypatch):

@@ -55,14 +55,6 @@ def test_is_critical_rejects_single_vertex():
         is_critical(complete(1))
 
 
-def test_is_critical_threads_match_sequential():
-    seq = is_critical(hn(4)[0])
-    par = is_critical(hn(4)[0], SolverConfig(threads=4))
-    assert seq.base_td == par.base_td
-    assert seq.steps == par.steps
-    assert seq.is_critical == par.is_critical
-
-
 def test_is_critical_budget_marks_inconclusive():
     # budget large enough for the base graph but not for every minor
     report = is_critical(hn(5)[0], SolverConfig(node_budget=231))
@@ -209,13 +201,6 @@ def test_uniqueness_report_budget_inconclusive():
     assert report.graph_one_unique is None
     flagged = [u for u in report.per_vertex if u.one_unique is None]
     assert flagged and flagged[0].vertex == 0
-
-
-def test_uniqueness_report_threads_match_sequential():
-    seq = uniqueness_report(hn(4)[0])
-    par = uniqueness_report(hn(4)[0], SolverConfig(threads=4))
-    assert seq.non_one_unique == par.non_one_unique
-    assert [u.witness for u in seq.per_vertex] == [u.witness for u in par.per_vertex]
 
 
 def test_uniqueness_report_rejects_single_vertex():

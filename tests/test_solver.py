@@ -1,9 +1,12 @@
 """Exact solver: values, certificates, bounds, budgets, brute-force oracle."""
 
 import random
+import sys
+import threading
 
 import pytest
 
+from tdlab import solver
 from tdlab.graphs import (
     Graph,
     apply_minor_step,
@@ -35,9 +38,18 @@ from tdlab.solver import (
 )
 
 
-def fresh_cert(g, **kw):
-    # a non-default config bypasses the shared search cache
-    return treedepth(g, SolverConfig(node_budget=10**9, **kw))
+def fresh_cert(g):
+    # a search with its own memo, independent of the shared cache
+    return _Search(g, DEFAULT_CONFIG, {}).certificate()
+
+
+def assert_memo_exact(g):
+    # every value in g's shared memo equals an unbudgeted solve of that mask
+    ref = _Search(g, DEFAULT_CONFIG, {})
+    memo = solver._search_cache[g].memo
+    assert memo
+    for mask, value in memo.items():
+        assert value == ref.solve_conn(mask), bin(mask)
 
 
 # -- exact values -------------------------------------------------------------
@@ -119,7 +131,7 @@ def test_branch_order_is_decreasing_degree_then_index():
 def test_memo_holds_only_connected_masks():
     # A memo hit on the rest of a removal is read as one solved component.
     for g in [hn(6)[0], random_graph(random.Random(17), 12, 0.35)]:
-        search = _Search(g, DEFAULT_CONFIG)
+        search = _Search(g, DEFAULT_CONFIG, {})
         search.certificate()
         assert search.memo
         for mask in search.memo:
@@ -225,6 +237,78 @@ def test_generous_budget_still_exact():
     assert cert.value == 4
 
 
+@pytest.mark.parametrize(
+    "config",
+    [SolverConfig(node_budget=0), SolverConfig(time_budget=0.0), SolverConfig(memo_capacity=0)],
+)
+def test_budget_stop_with_pinned_bounds_returns_certificate(config):
+    # K2, P3 rooted at its middle vertex (graph6 Bo) and a disconnected
+    # graph: the bounds meet, so the DFS ranking behind the upper bound is an
+    # optimal witness.
+    for g in [path(2), Graph(3, [(0, 1), (0, 2)]), Graph(6, [(0, 1), (2, 3), (2, 4)])]:
+        cert = treedepth(g, config)
+        assert cert.value == 2
+        assert cert.witness.max_label == cert.witness.colors == 2
+        assert verify_ranking(g, cert.witness) is None
+
+
+def test_budget_stops_resume_on_exact_memo():
+    # Budgeted calls share the graph's memo: each stop leaves only exact
+    # values behind, and a later call resumes from them.
+    g = hn(6)[0]
+    want = fresh_cert(g)
+    for budget in (1, 5, 20, 80, 300):
+        with pytest.raises(BudgetExceededError):
+            treedepth(g, SolverConfig(node_budget=budget))
+    assert_memo_exact(g)
+    cert = treedepth(g)
+    assert cert.value == want.value and cert.witness == want.witness
+    assert cert.stats.nodes < want.stats.nodes
+    assert_memo_exact(g)
+
+
+def test_solved_graph_needs_no_budget():
+    g = hn(5)[0]
+    cert = treedepth(g)
+    zero = SolverConfig(node_budget=0)
+    assert treedepth(g, zero) is cert
+    assert treedepth_le(g, 6, zero)
+    assert not treedepth_le(g, 5, zero)
+
+
+def test_concurrent_budgeted_callers():
+    # Budgets and node counts belong to each call, so callers with different
+    # budgets on one graph cannot change each other's limits or results.
+    g = hn(6)[0]
+    want = fresh_cert(g)
+    got = []
+    errors = []
+
+    def call(budget):
+        for _ in range(3):
+            try:
+                got.append(treedepth(g, SolverConfig(node_budget=budget)))
+            except BudgetExceededError as exc:
+                if budget is None or not budget <= exc.stats.nodes <= budget + 1:
+                    errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=call, args=(b,)) for b in (None, 3, 40, None, 7)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors
+    assert len(got) >= 6
+    assert all(c.value == want.value and c.witness == want.witness for c in got)
+    assert_memo_exact(g)
+
+
 # -- brute force oracle -------------------------------------------------------------------------
 
 def test_brute_force_cliques():
@@ -239,12 +323,6 @@ def test_brute_force_cycle5():
 def test_brute_force_size_cap():
     with pytest.raises(ValueError):
         brute_force_td(complete(9))
-
-
-def test_oracle_equivalence_small():
-    for n in range(1, 6):
-        for g in iter_labeled_graphs(n):
-            assert treedepth(g).value == brute_force_td(g), g
 
 
 def test_search_feasible_labeling_respects_pins():
