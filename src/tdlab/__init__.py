@@ -41,6 +41,7 @@ from .solver import (
     TdCertificate,
     bounds,
     brute_force_td,
+    derive,
     search_feasible_labeling,
     treedepth,
     treedepth_le,

@@ -22,15 +22,14 @@ from dataclasses import dataclass
 from .graphs import (
     Graph,
     MinorStep,
-    apply_minor_step,
     hn,
     one_step_minor_steps,
-    star_clique,
 )
 from .ranking import Ranking, hn_minor_witness, verify_ranking, witness_hn
 from .solver import (
     BudgetExceededError,
     SolverConfig,
+    derive,
     search_feasible_labeling,
     treedepth,
 )
@@ -68,7 +67,7 @@ def is_critical(g: Graph, config: SolverConfig | None = None) -> CriticalityRepo
     results: list[StepResult] = []
     inconclusive: list[MinorStep] = []
     for step in one_step_minor_steps(g):
-        minor = apply_minor_step(g, step)
+        minor = derive(g, step)
         try:
             results.append(StepResult(step, treedepth(minor, config).value))
         except BudgetExceededError:
@@ -96,7 +95,8 @@ def one_unique_starclique(
     if g.n < 2:
         raise ValueError("1-uniqueness tests need at least 2 vertices")
     g._check_vertex(v)
-    return treedepth(star_clique(g, v), config).value < treedepth(g, config).value
+    base = treedepth(g, config).value
+    return treedepth(derive(g, v), config).value < base
 
 
 def one_unique_direct(
@@ -168,7 +168,7 @@ def uniqueness_report(
 
     def check(v: int) -> VertexUniqueness:
         try:
-            cert_h = treedepth(star_clique(g, v), config)
+            cert_h = treedepth(derive(g, v), config)
             unique = cert_h.value < base
             by_direct = None
             if direct_in_range:
@@ -271,7 +271,7 @@ def _family_row(n: int, config: SolverConfig | None) -> FamilyRow:
         non_unique = uniq.non_one_unique
         if critical is None or uniq.graph_one_unique is None:
             incomplete = True
-        sc_td = treedepth(star_clique(g, layout.hub), config).value
+        sc_td = treedepth(derive(g, layout.hub), config).value
     except BudgetExceededError:
         incomplete = True
     witnesses_ok = family_witnesses_ok(n)

@@ -28,8 +28,17 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .graphs import Graph, component_masks, component_of
+from .graphs import (
+    Graph,
+    MinorStep,
+    apply_minor_step,
+    bit_indices,
+    component_masks,
+    component_of,
+    star_clique,
+)
 from .ranking import Ranking
 
 BRUTE_FORCE_MAX_VERTICES = 8
@@ -185,15 +194,25 @@ class _Search:
     `memo` is the graph's shared store. A mask's value is written only once
     its subproblem is fully solved and never depends on the caller's
     incumbent, so a call stopped by its budget leaves only exact values.
+    `parent`, when given, maps a mask missing from the memo to the exact
+    value of the identical subgraph in the graph this one was derived from,
+    or None (see `_inherit`); a value read there is copied into the memo.
     """
 
-    __slots__ = ("adj", "n", "config", "memo", "nodes", "_start", "_deadline")
+    __slots__ = ("adj", "n", "config", "memo", "parent", "nodes", "_start", "_deadline")
 
-    def __init__(self, g: Graph, config: SolverConfig, memo: dict[int, int]):
+    def __init__(
+        self,
+        g: Graph,
+        config: SolverConfig,
+        memo: dict[int, int],
+        parent: Callable[[int], int | None] | None = None,
+    ):
         self.adj = g.adj
         self.n = g.n
         self.config = config
         self.memo = memo
+        self.parent = parent
         self.nodes = 0
         self._start = time.monotonic()
         self._deadline = (
@@ -203,14 +222,15 @@ class _Search:
     # -- resource accounting -------------------------------------------------
 
     def _tick(self) -> None:
-        self.nodes += 1
+        # Checked before counting, so a stop reports exactly the nodes expanded.
         cfg = self.config
-        if cfg.node_budget is not None and self.nodes > cfg.node_budget:
+        if cfg.node_budget is not None and self.nodes >= cfg.node_budget:
             raise _BudgetHit(f"node budget of {cfg.node_budget} exhausted")
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise _BudgetHit(f"time budget of {cfg.time_budget}s exhausted")
         if cfg.memo_capacity is not None and len(self.memo) >= cfg.memo_capacity:
             raise _BudgetHit(f"memo capacity of {cfg.memo_capacity} exhausted")
+        self.nodes += 1
 
     def stats(self) -> SolverStats:
         return SolverStats(self.nodes, len(self.memo), time.monotonic() - self._start)
@@ -226,6 +246,12 @@ class _Search:
         val = memo.get(mask)
         if val is not None:
             return val
+        parent = self.parent
+        if parent is not None:
+            val = parent(mask)
+            if val is not None:
+                memo[mask] = val
+                return val
         self._tick()
         adj = self.adj
         cnt = mask.bit_count()
@@ -243,6 +269,10 @@ class _Search:
                 # Only connected masks are memoized, so a hit is the value of
                 # the whole rest and needs no split.
                 worst = memo.get(rest)
+                if worst is None and parent is not None:
+                    worst = parent(rest)
+                    if worst is not None:
+                        memo[rest] = worst
                 if worst is None:
                     comps = _split(adj, rest, adj[v] & rest)
                     if len(comps) == 1:
@@ -315,10 +345,12 @@ class _Search:
 
 @dataclass(slots=True)
 class _Solved:
-    """What is known of one graph: exact memo values and the finished certificate."""
+    """What is known of one graph: exact memo values, the finished certificate,
+    and the graph and step it was derived from (see `derive`)."""
 
     memo: dict[int, int] = field(default_factory=dict)
     cert: TdCertificate | None = None
+    parent: tuple[Graph, MinorStep | int] | None = None
 
 
 # Every call, budgeted or not, reads and writes its graph's entry; budgets and
@@ -341,6 +373,76 @@ def _solved_for(g: Graph) -> _Solved:
     return solved
 
 
+def derive(g: Graph, step: MinorStep | int) -> Graph:
+    """Apply `step` to g and let the solves of the result read g's memo.
+
+    `step` is a `MinorStep`, or a vertex v for `star_clique(g, v)`. Later
+    `treedepth` and `treedepth_le` calls on the returned graph read each
+    subproblem that is identical in g from g's memo instead of searching it
+    (see `_inherit`). Memo values are exact, so the value, the witness and
+    every memo entry are those of a search from an empty memo.
+    """
+    if isinstance(step, MinorStep):
+        h = apply_minor_step(g, step)
+    else:
+        h = star_clique(g, step)
+    _solved_for(h).parent = (g, step)
+    return h
+
+
+def _inherit(parent: tuple[Graph, MinorStep | int] | None) -> Callable[[int], int | None] | None:
+    """Exact values of a derived graph h's subproblems, read from its parent's memo.
+
+    `parent` is `(g, step)` as given to `derive`. A mask S of h maps to the
+    mask P of g with a 0 bit put back at the removed index (P = S for an edge
+    deletion). g's value of P is returned only when g[P] is h[S] itself:
+    - delete_edge(u, v): P does not hold both u and v;
+    - contract_edge(u, v), keeping min and dropping max: keep is not in P, or
+      no vertex of P other than keep is a neighbour of drop but not of keep;
+    - delete_vertex(v): always, since v is isolated;
+    - star_clique(g, v): v's neighbours in P already form a clique of g.
+    """
+    if parent is None:
+        return None
+    g, step = parent
+    kind = step.kind if isinstance(step, MinorStep) else "star_clique"
+    memo = _solved_for(g).memo
+    adj = g.adj
+
+    if kind == "delete_edge":
+        both = 1 << step.u | 1 << step.v
+        return lambda s: None if s & both == both else memo.get(s)
+
+    if kind == "contract_edge":
+        keep, drop = min(step.u, step.v), max(step.u, step.v)
+        keep_bit = 1 << keep
+        grows = adj[drop] & ~adj[keep] & ~keep_bit
+
+        def differs(p: int) -> bool:
+            return bool(p & keep_bit and p & grows)
+
+    elif kind == "delete_vertex":
+        drop = step.u
+
+        def differs(p: int) -> bool:
+            return False
+
+    else:
+        drop, nbrs = step, adj[step]
+
+        def differs(p: int) -> bool:
+            return not _is_clique(adj, p & nbrs)
+
+    low = (1 << drop) - 1
+
+    def lookup(s: int) -> int | None:
+        p = (s & low) | (s >> drop << (drop + 1))
+        val = memo.get(p)
+        return None if val is None or differs(p) else val
+
+    return lookup
+
+
 def treedepth(g: Graph, config: SolverConfig | None = None) -> TdCertificate:
     """Exact tree-depth of g with a verified witness ranking.
 
@@ -350,7 +452,7 @@ def treedepth(g: Graph, config: SolverConfig | None = None) -> TdCertificate:
     solved = _solved_for(g)
     if solved.cert is not None:
         return solved.cert
-    search = _Search(g, config or DEFAULT_CONFIG, solved.memo)
+    search = _Search(g, config or DEFAULT_CONFIG, solved.memo, _inherit(solved.parent))
     try:
         solved.cert = search.certificate()
     except _BudgetHit as hit:
@@ -374,7 +476,8 @@ def treedepth_le(g: Graph, k: int, config: SolverConfig | None = None) -> bool:
         return True
     if quick.lower > k:
         return False
-    search = _Search(g, config or DEFAULT_CONFIG, _solved_for(g).memo)
+    solved = _solved_for(g)
+    search = _Search(g, config or DEFAULT_CONFIG, solved.memo, _inherit(solved.parent))
     try:
         return search.solve_set(g.full_mask()) <= k
     except _BudgetHit as hit:
@@ -402,17 +505,29 @@ def _max_clique(adj: tuple[int, ...], mask: int) -> int:
 _EXACT_CLIQUE_MAX = 20
 
 
+def _dfs_roots(g: Graph) -> tuple[list[int], list[int]]:
+    """DFS height from every vertex, and the root of each component.
+
+    A component's root is its vertex of least DFS height, lowest index on
+    ties; its height is the component's DFS upper bound.
+    """
+    adj = g.adj
+    full = g.full_mask()
+    heights = [_dfs_height(adj, full, v) for v in range(g.n)]
+    roots = [
+        min(bit_indices(comp), key=heights.__getitem__)
+        for comp in component_masks(adj, full)
+    ]
+    return heights, roots
+
+
 def bounds(g: Graph) -> Bounds:
     """Cheap certified bounds: clique and longest-DFS-path below, DFS height above."""
     adj = g.adj
     full = g.full_mask()
-    upper = 0
-    for comp in component_masks(adj, full):
-        root = (comp & -comp).bit_length() - 1
-        upper = max(upper, _dfs_height(adj, comp, root))
-    longest = 0
-    for v in range(g.n):
-        longest = max(longest, _dfs_height(adj, full, v) - 1)
+    heights, roots = _dfs_roots(g)
+    upper = max(heights[r] for r in roots)
+    longest = max(heights) - 1
     if g.n <= _EXACT_CLIQUE_MAX:
         clique = _max_clique(adj, full)
     else:
@@ -426,16 +541,15 @@ def bounds(g: Graph) -> Bounds:
 def _dfs_ranking(g: Graph) -> Ranking:
     """The ranking behind the upper bound of `bounds`.
 
-    Each component is searched as in `_dfs_height`, from its lowest vertex,
-    and a vertex at depth d of a tree of height h gets label h - d + 1. The
-    largest label is the upper bound.
+    Each component is searched as in `_dfs_height`, from its root of least
+    DFS height, and a vertex at depth d of a tree of height h gets label
+    h - d + 1. The largest label is the upper bound.
     """
     adj = g.adj
     labels = [0] * g.n
-    for comp in component_masks(adj, g.full_mask()):
-        root = (comp & -comp).bit_length() - 1
+    for root in _dfs_roots(g)[1]:
         depth = {root: 1}
-        unvisited = comp & ~(1 << root)
+        unvisited = g.full_mask() & ~(1 << root)
         stack = [root]
         while stack:
             free = adj[stack[-1]] & unvisited

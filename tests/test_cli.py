@@ -326,11 +326,11 @@ def test_zero_budget_is_accepted(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("graph6", ["A_", "Bo"])
+@pytest.mark.parametrize("graph6", ["A_", "Bo", "Bg"])
 @pytest.mark.parametrize("flag", ["--node-budget", "--time-budget", "--memo-capacity"])
 def test_zero_budget_with_pinned_bounds_is_exact(tmp_path, capsys, graph6, flag):
-    # K2 and the 3-vertex path: the bounds meet, so a budget stop still
-    # yields the value and the DFS witness.
+    # K2 and the 3-vertex path with its middle vertex at index 0 or 1: the
+    # bounds meet, so a budget stop still yields the value and the DFS witness.
     p = tmp_path / "g.g6"
     p.write_text(graph6 + "\n")
     code, out, _ = run(capsys, ["td", str(p), flag, "0"])

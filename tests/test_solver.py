@@ -19,6 +19,7 @@ from tdlab.graphs import (
     k_net,
     one_step_minor_steps,
     path,
+    star_clique,
 )
 from tdlab.ranking import Ranking, verify_ranking
 from tdlab.selftest import iter_labeled_graphs, random_graph
@@ -28,10 +29,13 @@ from tdlab.solver import (
     BudgetExceededError,
     SolverConfig,
     _branch_order,
+    _inherit,
     _Search,
+    _Solved,
     _split,
     bounds,
     brute_force_td,
+    derive,
     search_feasible_labeling,
     treedepth,
     treedepth_le,
@@ -138,6 +142,85 @@ def test_memo_holds_only_connected_masks():
             assert component_masks(g.adj, mask) == [mask]
 
 
+# -- parent memo reuse --------------------------------------------------------
+
+def derived_graphs(g):
+    # (step, graph) for every one-step minor and every star-clique transform
+    for step in one_step_minor_steps(g):
+        yield step, apply_minor_step(g, step)
+    if g.n > 1:
+        for v in range(g.n):
+            yield v, star_clique(g, v)
+
+
+def parent_indices(step, n):
+    # vertex i of the derived graph on n vertices is vertex up[i] of the parent
+    if isinstance(step, int):
+        removed = step
+    elif step.kind == "contract_edge":
+        removed = max(step.u, step.v)
+    elif step.kind == "delete_vertex":
+        removed = step.u
+    else:
+        return list(range(n))
+    return [i if i < removed else i + 1 for i in range(n)]
+
+
+def test_inherit_accepts_exactly_the_identical_subgraphs():
+    # The parent memo holds every mask valued as itself, so the lookup shows
+    # which parent mask it reads and when. A mask S of the derived graph must
+    # be read exactly when each vertex's row inside S equals its parent's row
+    # inside the parent mask. Every labeled graph on 2-5 vertices, isolated
+    # vertices included, and every 16th connected labeled graph on 6 vertices.
+    graphs = [g for n in range(2, 6) for g in iter_labeled_graphs(n, connected_only=False)]
+    graphs += list(iter_labeled_graphs(6))[::16]
+    for g in graphs:
+        solver._search_cache.clear()
+        solver._search_cache[g] = _Solved({p: p for p in range(1, 1 << g.n)})
+        for step, h in derived_graphs(g):
+            up = parent_indices(step, h.n)
+            lookup = _inherit((g, step))
+            # differ[i]: vertices whose adjacency to i is not the parent's
+            differ = [
+                h.adj[i] ^ sum(1 << j for j in range(h.n) if g.adj[up[i]] >> up[j] & 1)
+                for i in range(h.n)
+            ]
+            same = [True] * (1 << h.n)
+            lifted = [0] * (1 << h.n)
+            for s in range(1, 1 << h.n):
+                low = s & -s
+                i = low.bit_length() - 1
+                same[s] = same[s ^ low] and not differ[i] & s
+                lifted[s] = lifted[s ^ low] | 1 << up[i]
+                assert lookup(s) == (lifted[s] if same[s] else None), (g, step, bin(s))
+
+
+def test_inherited_solves_match_fresh_solves():
+    rng = random.Random(29)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(3, 9), rng.random())
+        solver._search_cache.clear()
+        treedepth(g)
+        for step, h in derived_graphs(g):
+            cert = treedepth(derive(g, step))
+            want = fresh_cert(h)
+            assert cert.value == want.value and cert.witness == want.witness, (g, step)
+            ref = _Search(h, DEFAULT_CONFIG, {})
+            for mask, value in solver._search_cache[h].memo.items():
+                assert component_masks(h.adj, mask) == [mask]
+                assert value == ref.solve_conn(mask), (g, step, bin(mask))
+
+
+def test_inherited_minor_solves_expand_fewer_nodes():
+    g = hn(6)[0]
+    treedepth(g)
+    inherited = fresh = 0
+    for step in one_step_minor_steps(g):
+        inherited += treedepth(derive(g, step)).stats.nodes
+        fresh += fresh_cert(apply_minor_step(g, step)).stats.nodes
+    assert inherited < fresh
+
+
 # -- decision form -----------------------------------------------------------------
 
 def test_treedepth_le():
@@ -195,6 +278,7 @@ def test_bounds_examples():
     b = bounds(complete(6))
     assert b.lower >= 6 and b.upper == 6
     assert bounds(path(7)).lower >= 3
+    assert bounds(path(7)).upper == 4  # DFS from the middle vertex
     assert brute_force_td(path(7)) == 3  # the lower bound is tight here
     assert bounds(hn(5)[0]).lower >= 4
 
@@ -217,7 +301,7 @@ def test_node_budget_exhaustion_reports_bounds():
     b = err.value.bounds
     assert isinstance(b, Bounds)
     assert b.lower <= 6 <= b.upper
-    assert err.value.stats.nodes >= 3
+    assert err.value.stats.nodes == 3
 
 
 def test_time_budget_exhaustion():
@@ -242,10 +326,11 @@ def test_generous_budget_still_exact():
     [SolverConfig(node_budget=0), SolverConfig(time_budget=0.0), SolverConfig(memo_capacity=0)],
 )
 def test_budget_stop_with_pinned_bounds_returns_certificate(config):
-    # K2, P3 rooted at its middle vertex (graph6 Bo) and a disconnected
-    # graph: the bounds meet, so the DFS ranking behind the upper bound is an
-    # optimal witness.
-    for g in [path(2), Graph(3, [(0, 1), (0, 2)]), Graph(6, [(0, 1), (2, 3), (2, 4)])]:
+    # K2, P3 with its middle vertex at index 0 (graph6 Bo) and at index 1
+    # (Bg), and a disconnected graph: the bounds meet, so the DFS ranking
+    # behind the upper bound is an optimal witness.
+    graphs = [path(2), Graph(3, [(0, 1), (0, 2)]), path(3), Graph(6, [(0, 1), (2, 3), (2, 4)])]
+    for g in graphs:
         cert = treedepth(g, config)
         assert cert.value == 2
         assert cert.witness.max_label == cert.witness.colors == 2
@@ -289,7 +374,7 @@ def test_concurrent_budgeted_callers():
             try:
                 got.append(treedepth(g, SolverConfig(node_budget=budget)))
             except BudgetExceededError as exc:
-                if budget is None or not budget <= exc.stats.nodes <= budget + 1:
+                if budget is None or exc.stats.nodes != budget:
                     errors.append(exc)
 
     old = sys.getswitchinterval()
