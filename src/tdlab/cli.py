@@ -135,7 +135,8 @@ def _solver_options() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--memo-capacity", type=_count,
-        help="abort with bounds beyond this many memo entries",
+        help="abort with bounds beyond this many solver store entries "
+             "(exact values and lower bounds together)",
     )
     return p
 

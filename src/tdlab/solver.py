@@ -13,6 +13,12 @@ is one component with a known value, so no split is needed. On a miss the
 rest is split by a search from v's neighbours, which stops as soon as it has
 reached all of them, since every component of the rest contains one.
 
+The search is bounded: each subproblem is asked only whether its value is
+below a bound, and answers with the exact value or a proven lower bound of
+at least that bound. Exact values go to the memo and lower bounds to a
+second store beside it (connected masks only, too), which later queries
+and the cheap pruning bound read.
+
 The brute-force oracle searches the space of labelings instead of the space
 of elimination orders, which keeps the two routes to a tree-depth value
 independent of each other.
@@ -49,9 +55,12 @@ class SolverConfig:
     """Resource limits of one solver call.
 
     Each budget limits the new work of one `treedepth` or `treedepth_le`
-    call: nodes expanded, wall time, and the size the graph's memo may grow
-    to. Values already solved for the same graph in this process cost
-    nothing, so a call whose answer is cached never runs out.
+    call: nodes expanded, wall time, and the number of entries the graph's
+    two stores (exact values and lower bounds, see `_Solved`) may hold
+    together. The capacity is checked before every write that adds an
+    entry, values copied from a parent graph included. Values already
+    solved for the same graph in this process cost nothing, so a call whose
+    answer is cached never runs out.
     """
 
     node_budget: int | None = None
@@ -97,6 +106,10 @@ class BudgetExceededError(Exception):
 
 class _BudgetHit(Exception):
     pass
+
+
+# Above the tree-depth of any graph on at most 64 vertices: no bound.
+_NO_BOUND = 65
 
 
 def _ceil_log2(x: int) -> int:
@@ -189,30 +202,33 @@ def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
 
 
 class _Search:
-    """One call's memoized branch-and-bound over connected vertex subsets of one graph.
+    """One call's bounded branch-and-bound over connected vertex subsets of one graph.
 
-    `memo` is the graph's shared store. A mask's value is written only once
-    its subproblem is fully solved and never depends on the caller's
-    incumbent, so a call stopped by its budget leaves only exact values.
-    `parent`, when given, maps a mask missing from the memo to the exact
-    value of the identical subgraph in the graph this one was derived from,
-    or None (see `_inherit`); a value read there is copied into the memo.
+    The search reads and writes the graph's two shared stores (see
+    `_Solved`): `memo`, the exact values, and `lower`, proven lower bounds of
+    subproblems that were only asked whether they beat a bound. Every entry
+    is valid whatever the caller's incumbent, so a call stopped by its budget
+    leaves only exact values and valid bounds. A graph built by `derive`
+    also reads both stores of its parent wherever the two induced subgraphs
+    are identical (see `_inherit`); an exact value read there is copied into
+    the memo.
     """
 
-    __slots__ = ("adj", "n", "config", "memo", "parent", "nodes", "_start", "_deadline")
+    __slots__ = (
+        "adj", "n", "config", "memo", "lower", "lift", "up_memo", "up_lower",
+        "nodes", "_start", "_deadline",
+    )
 
-    def __init__(
-        self,
-        g: Graph,
-        config: SolverConfig,
-        memo: dict[int, int],
-        parent: Callable[[int], int | None] | None = None,
-    ):
+    def __init__(self, g: Graph, config: SolverConfig, solved: _Solved):
         self.adj = g.adj
         self.n = g.n
         self.config = config
-        self.memo = memo
-        self.parent = parent
+        self.memo = solved.memo
+        self.lower = solved.lower
+        self.lift = _inherit(solved.parent)
+        if self.lift is not None:
+            up = _solved_for(solved.parent[0])
+            self.up_memo, self.up_lower = up.memo, up.lower
         self.nodes = 0
         self._start = time.monotonic()
         self._deadline = (
@@ -228,85 +244,123 @@ class _Search:
             raise _BudgetHit(f"node budget of {cfg.node_budget} exhausted")
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise _BudgetHit(f"time budget of {cfg.time_budget}s exhausted")
-        if cfg.memo_capacity is not None and len(self.memo) >= cfg.memo_capacity:
-            raise _BudgetHit(f"memo capacity of {cfg.memo_capacity} exhausted")
         self.nodes += 1
 
+    def _store(self, store: dict[int, int], mask: int, value: int) -> None:
+        # The memo capacity bounds the entries of both stores together, so it
+        # is checked before every write that adds one.
+        cap = self.config.memo_capacity
+        if cap is not None and mask not in store and len(self.memo) + len(self.lower) >= cap:
+            raise _BudgetHit(f"memo capacity of {cap} exhausted")
+        store[mask] = value
+
     def stats(self) -> SolverStats:
-        return SolverStats(self.nodes, len(self.memo), time.monotonic() - self._start)
+        return SolverStats(
+            self.nodes, len(self.memo) + len(self.lower), time.monotonic() - self._start
+        )
 
-    # -- exact values ----------------------------------------------------------
+    # -- values --------------------------------------------------------------
 
-    def solve_set(self, mask: int) -> int:
-        return max(self.solve_conn(c) for c in component_masks(self.adj, mask))
+    def solve_set(self, mask: int, ub: int = _NO_BOUND) -> int:
+        """Tree-depth of the induced subgraph on `mask` if below `ub`, else a
+        lower bound of at least `ub`, from the first component that reaches it."""
+        worst = 0
+        for c in component_masks(self.adj, mask):
+            worst = max(worst, self.solve_conn(c, ub))
+            if worst >= ub:
+                break
+        return worst
 
-    def solve_conn(self, mask: int) -> int:
-        """Exact tree-depth of the connected induced subgraph on `mask`."""
+    def solve_conn(self, mask: int, ub: int = _NO_BOUND) -> int:
+        """Tree-depth of the connected induced subgraph on `mask`, if it is below `ub`.
+
+        Otherwise the result is a proven lower bound L with ub <= L <= td,
+        which is kept in `lower`. Each branch asks its components only
+        whether they beat the current cap (the incumbent, or `ub` if lower),
+        so most subproblems are never solved exactly.
+        """
         memo = self.memo
         val = memo.get(mask)
         if val is not None:
             return val
-        parent = self.parent
-        if parent is not None:
-            val = parent(mask)
-            if val is not None:
-                memo[mask] = val
-                return val
+        known = self.lower.get(mask, 0)
+        lift = self.lift
+        if lift is not None:
+            up = lift(mask)
+            if up is not None:
+                val = self.up_memo.get(up)
+                if val is not None:
+                    self._store(memo, mask, val)
+                    return val
+                known = max(known, self.up_lower.get(up, 0))
+        if known >= ub:
+            return known
         self._tick()
         adj = self.adj
         cnt = mask.bit_count()
         if cnt <= 2 or _is_clique(adj, mask):
-            memo[mask] = cnt
+            self._store(memo, mask, cnt)
             return cnt
         root = (mask & -mask).bit_length() - 1
         height = _dfs_height(adj, mask, root)
         best = height
+        cap = min(height, ub)
         order = _branch_order(adj, mask)
-        lb = max(_greedy_clique(adj, order), _ceil_log2(height + 1))
-        if lb < best:
+        lb = max(_greedy_clique(adj, order), _ceil_log2(height + 1), known)
+        # floor: the least lower bound proven for a branch that did not beat cap.
+        floor = _NO_BOUND
+        if lb < cap:
             for v in order:
                 rest = mask ^ (1 << v)
                 # Only connected masks are memoized, so a hit is the value of
                 # the whole rest and needs no split.
                 worst = memo.get(rest)
-                if worst is None and parent is not None:
-                    worst = parent(rest)
-                    if worst is not None:
-                        memo[rest] = worst
+                if worst is None and lift is not None:
+                    up = lift(rest)
+                    if up is not None:
+                        worst = self.up_memo.get(up)
+                        if worst is not None:
+                            self._store(memo, rest, worst)
                 if worst is None:
                     comps = _split(adj, rest, adj[v] & rest)
                     if len(comps) == 1:
                         # One component, known to be missing from the memo.
-                        if 1 + self._cheap_lb(rest) >= best:
-                            continue
-                        worst = self.solve_conn(rest)
+                        worst = self._cheap_lb(rest)
+                        if 1 + worst < cap:
+                            worst = self.solve_conn(rest, cap - 1)
                     else:
-                        guess = 0
-                        for c in comps:
-                            known = memo.get(c)
-                            guess = max(guess, known if known is not None else self._cheap_lb(c))
-                        if 1 + guess >= best:
-                            continue
                         worst = 0
-                        comps.sort(key=int.bit_count, reverse=True)
                         for c in comps:
-                            worst = max(worst, self.solve_conn(c))
-                            if 1 + worst >= best:
-                                break
-                if 1 + worst < best:
-                    best = 1 + worst
+                            val = memo.get(c)
+                            worst = max(worst, val if val is not None else self._cheap_lb(c))
+                        if 1 + worst < cap:
+                            worst = 0
+                            comps.sort(key=int.bit_count, reverse=True)
+                            for c in comps:
+                                worst = max(worst, self.solve_conn(c, cap - 1))
+                                if 1 + worst >= cap:
+                                    break
+                if 1 + worst < cap:
+                    best = cap = 1 + worst
                     if best <= lb:
                         break
-        memo[mask] = best
-        return best
+                elif 1 + worst < floor:
+                    floor = 1 + worst
+        else:
+            floor = lb
+        # Below ub the cap was always the incumbent, so no branch beats best.
+        # Otherwise best is the DFS height, exact only if floor reaches it.
+        if best < ub or floor >= best:
+            self._store(memo, mask, best)
+            return best
+        self._store(self.lower, mask, floor)
+        return floor
 
     def _cheap_lb(self, comp: int) -> int:
         cnt = comp.bit_count()
-        if cnt <= 2:
+        if cnt <= 2 or _is_clique(self.adj, comp):
             return cnt
-        if _is_clique(self.adj, comp):
-            return cnt
-        return 2
+        return self.lower.get(comp, 2)
 
     # -- witness ---------------------------------------------------------------
 
@@ -317,9 +371,10 @@ class _Search:
         return out
 
     def _witness_conn(self, mask: int, out: dict[int, int]) -> None:
-        # Second pass over solved subproblems: pick the first branch vertex
-        # (in branch order) that attains the optimum, give it the top rank of
-        # this subproblem, and recurse into the remaining components.
+        # Second pass: pick the first branch vertex (in branch order) whose
+        # components all lie below the optimum, which is the first one that
+        # attains it, give it the top rank of this subproblem, and recurse
+        # into the remaining components.
         adj = self.adj
         if mask.bit_count() == 1:
             out[mask.bit_length() - 1] = 1
@@ -328,7 +383,7 @@ class _Search:
         for v in _branch_order(adj, mask):
             rest = mask ^ (1 << v)
             comps = _split(adj, rest, adj[v] & rest)
-            if 1 + max(self.solve_conn(c) for c in comps) == target:
+            if all(self.solve_conn(c, target) < target for c in comps):
                 out[v] = target
                 for c in comps:
                     self._witness_conn(c, out)
@@ -345,17 +400,26 @@ class _Search:
 
 @dataclass(slots=True)
 class _Solved:
-    """What is known of one graph: exact memo values, the finished certificate,
-    and the graph and step it was derived from (see `derive`)."""
+    """What is known of one graph, and the graph and step it was derived from
+    (see `derive`).
+
+    `memo` maps a connected mask to its exact tree-depth. `lower` maps a
+    connected mask to a proven lower bound of its tree-depth; an entry is
+    only ever raised, and may stay after the mask's exact value is found.
+    `cert` is the finished certificate.
+    """
 
     memo: dict[int, int] = field(default_factory=dict)
+    lower: dict[int, int] = field(default_factory=dict)
     cert: TdCertificate | None = None
     parent: tuple[Graph, MinorStep | int] | None = None
 
 
 # Every call, budgeted or not, reads and writes its graph's entry; budgets and
 # node counts stay in the call's own _Search. Concurrent callers are safe: the
-# lock guards the cache, and every memo writer computes the identical value.
+# lock guards the cache, every memo writer computes the identical value, and
+# every lower bound written is valid, so a raise lost to a concurrent write
+# only weakens pruning.
 _SEARCH_CACHE_SIZE = 4096
 _search_cache: OrderedDict[Graph, _Solved] = OrderedDict()
 _search_cache_lock = threading.Lock()
@@ -374,13 +438,14 @@ def _solved_for(g: Graph) -> _Solved:
 
 
 def derive(g: Graph, step: MinorStep | int) -> Graph:
-    """Apply `step` to g and let the solves of the result read g's memo.
+    """Apply `step` to g and let the solves of the result read g's stores.
 
     `step` is a `MinorStep`, or a vertex v for `star_clique(g, v)`. Later
     `treedepth` and `treedepth_le` calls on the returned graph read each
-    subproblem that is identical in g from g's memo instead of searching it
-    (see `_inherit`). Memo values are exact, so the value, the witness and
-    every memo entry are those of a search from an empty memo.
+    subproblem that is identical in g from g's memo and lower bounds
+    instead of searching it (see `_inherit`). Both are valid for the
+    identical subgraph, so the value and the witness are those of a search
+    from empty stores.
     """
     if isinstance(step, MinorStep):
         h = apply_minor_step(g, step)
@@ -391,11 +456,11 @@ def derive(g: Graph, step: MinorStep | int) -> Graph:
 
 
 def _inherit(parent: tuple[Graph, MinorStep | int] | None) -> Callable[[int], int | None] | None:
-    """Exact values of a derived graph h's subproblems, read from its parent's memo.
+    """The mask of a derived graph h's subproblem in its parent, when identical.
 
     `parent` is `(g, step)` as given to `derive`. A mask S of h maps to the
     mask P of g with a 0 bit put back at the removed index (P = S for an edge
-    deletion). g's value of P is returned only when g[P] is h[S] itself:
+    deletion). P is returned only when g[P] is h[S] itself, else None:
     - delete_edge(u, v): P does not hold both u and v;
     - contract_edge(u, v), keeping min and dropping max: keep is not in P, or
       no vertex of P other than keep is a neighbour of drop but not of keep;
@@ -406,12 +471,11 @@ def _inherit(parent: tuple[Graph, MinorStep | int] | None) -> Callable[[int], in
         return None
     g, step = parent
     kind = step.kind if isinstance(step, MinorStep) else "star_clique"
-    memo = _solved_for(g).memo
     adj = g.adj
 
     if kind == "delete_edge":
         both = 1 << step.u | 1 << step.v
-        return lambda s: None if s & both == both else memo.get(s)
+        return lambda s: None if s & both == both else s
 
     if kind == "contract_edge":
         keep, drop = min(step.u, step.v), max(step.u, step.v)
@@ -435,12 +499,11 @@ def _inherit(parent: tuple[Graph, MinorStep | int] | None) -> Callable[[int], in
 
     low = (1 << drop) - 1
 
-    def lookup(s: int) -> int | None:
+    def lift(s: int) -> int | None:
         p = (s & low) | (s >> drop << (drop + 1))
-        val = memo.get(p)
-        return None if val is None or differs(p) else val
+        return None if differs(p) else p
 
-    return lookup
+    return lift
 
 
 def treedepth(g: Graph, config: SolverConfig | None = None) -> TdCertificate:
@@ -452,7 +515,7 @@ def treedepth(g: Graph, config: SolverConfig | None = None) -> TdCertificate:
     solved = _solved_for(g)
     if solved.cert is not None:
         return solved.cert
-    search = _Search(g, config or DEFAULT_CONFIG, solved.memo, _inherit(solved.parent))
+    search = _Search(g, config or DEFAULT_CONFIG, solved)
     try:
         solved.cert = search.certificate()
     except _BudgetHit as hit:
@@ -464,7 +527,11 @@ def treedepth(g: Graph, config: SolverConfig | None = None) -> TdCertificate:
 
 
 def treedepth_le(g: Graph, k: int, config: SolverConfig | None = None) -> bool:
-    """Decision form: is td(g) <= k? Shares the memo store with treedepth."""
+    """Decision form: is td(g) <= k? A search bounded at k + 1 on the shared stores.
+
+    No certificate is built: each component is only asked whether it beats
+    k + 1, and the search stops at the first one that does not.
+    """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if k == 0:
@@ -476,10 +543,9 @@ def treedepth_le(g: Graph, k: int, config: SolverConfig | None = None) -> bool:
         return True
     if quick.lower > k:
         return False
-    solved = _solved_for(g)
-    search = _Search(g, config or DEFAULT_CONFIG, solved.memo, _inherit(solved.parent))
+    search = _Search(g, config or DEFAULT_CONFIG, _solved_for(g))
     try:
-        return search.solve_set(g.full_mask()) <= k
+        return search.solve_set(g.full_mask(), k + 1) <= k
     except _BudgetHit as hit:
         raise BudgetExceededError(str(hit), quick, search.stats()) from None
 

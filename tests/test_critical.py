@@ -70,7 +70,9 @@ def test_is_critical_budget_marks_inconclusive():
 def test_is_critical_failure_is_decisive_despite_budget():
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3),
                   (1, 4), (2, 3), (2, 4), (2, 5)])
-    report = is_critical(g, SolverConfig(node_budget=10))
+    # The budget is below what the largest minors need, even with the
+    # search bounded by each minor's incumbent.
+    report = is_critical(g, SolverConfig(node_budget=6))
     assert report.inconclusive_steps
     assert report.failing_steps
     assert report.is_critical is False
@@ -201,7 +203,8 @@ def test_uniqueness_report_skips_direct_above_cap():
 
 def test_uniqueness_report_budget_inconclusive():
     g = Graph(6, [(0, 2), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3)])
-    report = uniqueness_report(g, SolverConfig(node_budget=10))
+    # Enough to solve g, too little to settle vertex 0's transform.
+    report = uniqueness_report(g, SolverConfig(node_budget=6))
     assert report.graph_one_unique is None
     flagged = [u for u in report.per_vertex if u.one_unique is None]
     assert flagged and flagged[0].vertex == 0

@@ -1,5 +1,6 @@
 """Exact solver: values, certificates, bounds, budgets, brute-force oracle."""
 
+import hashlib
 import random
 import sys
 import threading
@@ -7,6 +8,7 @@ import threading
 import pytest
 
 from tdlab import solver
+from tdlab.formats import format_graph6
 from tdlab.graphs import (
     Graph,
     apply_minor_step,
@@ -43,17 +45,42 @@ from tdlab.solver import (
 
 
 def fresh_cert(g):
-    # a search with its own memo, independent of the shared cache
-    return _Search(g, DEFAULT_CONFIG, {}).certificate()
+    # a search with its own stores, independent of the shared cache
+    return _Search(g, DEFAULT_CONFIG, _Solved()).certificate()
+
+
+def assert_stores_valid(g, solved):
+    # Both stores hold only connected masks; every memo value equals an
+    # unbudgeted solve of its mask and every lower bound is at most that.
+    ref = _Search(g, DEFAULT_CONFIG, _Solved())
+    for mask, value in solved.memo.items():
+        assert component_masks(g.adj, mask) == [mask]
+        assert value == ref.solve_conn(mask), bin(mask)
+    for mask, value in solved.lower.items():
+        assert component_masks(g.adj, mask) == [mask]
+        assert value <= ref.solve_conn(mask), bin(mask)
 
 
 def assert_memo_exact(g):
-    # every value in g's shared memo equals an unbudgeted solve of that mask
-    ref = _Search(g, DEFAULT_CONFIG, {})
-    memo = solver._search_cache[g].memo
-    assert memo
-    for mask, value in memo.items():
-        assert value == ref.solve_conn(mask), bin(mask)
+    solved = solver._search_cache[g]
+    assert solved.memo
+    assert_stores_valid(g, solved)
+
+
+def exact_td(adj, mask, memo):
+    # The plain recursion, independent of the solver: one vertex is 1, a
+    # disconnected mask its worst component, else 1 + the best removal.
+    if mask not in memo:
+        comps = component_masks(adj, mask)
+        if len(comps) > 1:
+            memo[mask] = max(exact_td(adj, c, memo) for c in comps)
+        elif mask & (mask - 1) == 0:
+            memo[mask] = 1
+        else:
+            memo[mask] = 1 + min(
+                exact_td(adj, mask ^ (1 << v), memo) for v in bit_indices(mask)
+            )
+    return memo[mask]
 
 
 # -- exact values -------------------------------------------------------------
@@ -133,13 +160,54 @@ def test_branch_order_is_decreasing_degree_then_index():
 
 
 def test_memo_holds_only_connected_masks():
-    # A memo hit on the rest of a removal is read as one solved component.
+    # A memo hit on the rest of a removal is read as one solved component;
+    # lower bounds are kept for connected masks only, too.
     for g in [hn(6)[0], random_graph(random.Random(17), 12, 0.35)]:
-        search = _Search(g, DEFAULT_CONFIG, {})
+        search = _Search(g, DEFAULT_CONFIG, _Solved())
         search.certificate()
-        assert search.memo
-        for mask in search.memo:
+        assert search.memo and search.lower
+        for mask in [*search.memo, *search.lower]:
             assert component_masks(g.adj, mask) == [mask]
+
+
+def test_bounded_solve_is_exact_below_ub_and_a_lower_bound_above():
+    # For every connected mask and every ub: td when td < ub, else a value
+    # in [ub, td]. Every connected labeled graph on at most 5 vertices and
+    # every 16th on 6, each ub run on fresh stores that the masks then share.
+    graphs = [g for n in range(1, 6) for g in iter_labeled_graphs(n)]
+    graphs += list(iter_labeled_graphs(6))[::16]
+    for g in graphs:
+        td = {}
+        masks = [m for m in range(1, 1 << g.n) if component_masks(g.adj, m) == [m]]
+        for ub in range(1, g.n + 2):
+            search = _Search(g, DEFAULT_CONFIG, _Solved())
+            for mask in masks:
+                want = exact_td(g.adj, mask, td)
+                got = search.solve_conn(mask, ub)
+                if want < ub:
+                    assert got == want, (g, bin(mask), ub)
+                else:
+                    assert ub <= got <= want, (g, bin(mask), ub)
+            for mask, value in search.memo.items():
+                assert value == exact_td(g.adj, mask, td), (g, bin(mask), ub)
+            for mask, value in search.lower.items():
+                assert component_masks(g.adj, mask) == [mask]
+                assert value <= exact_td(g.adj, mask, td), (g, bin(mask), ub)
+
+
+# sha256 over "graph6 td labels" lines of every connected labeled graph on at
+# most 6 vertices, as computed by the exact search before it was bounded.
+SMALL6_WITNESS_SHA256 = "253ec8d6d6dcf4dab7a786ca6ce6cf319537eee1e40d986d88b2ff11946c7a65"
+
+
+def test_witnesses_of_all_small_graphs_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for g in iter_labeled_graphs(n):
+            cert = treedepth(g)
+            labels = " ".join(map(str, cert.witness.labels))
+            digest.update(f"{format_graph6(g)} {cert.value} {labels}\n".encode())
+    assert digest.hexdigest() == SMALL6_WITNESS_SHA256
 
 
 # -- parent memo reuse --------------------------------------------------------
@@ -167,16 +235,14 @@ def parent_indices(step, n):
 
 
 def test_inherit_accepts_exactly_the_identical_subgraphs():
-    # The parent memo holds every mask valued as itself, so the lookup shows
-    # which parent mask it reads and when. A mask S of the derived graph must
-    # be read exactly when each vertex's row inside S equals its parent's row
-    # inside the parent mask. Every labeled graph on 2-5 vertices, isolated
-    # vertices included, and every 16th connected labeled graph on 6 vertices.
+    # The lookup maps a mask S of the derived graph to the parent mask whose
+    # stores the search reads. It must do so exactly when each vertex's row
+    # inside S equals its parent's row inside the parent mask. Every labeled
+    # graph on 2-5 vertices, isolated vertices included, and every 16th
+    # connected labeled graph on 6 vertices.
     graphs = [g for n in range(2, 6) for g in iter_labeled_graphs(n, connected_only=False)]
     graphs += list(iter_labeled_graphs(6))[::16]
     for g in graphs:
-        solver._search_cache.clear()
-        solver._search_cache[g] = _Solved({p: p for p in range(1, 1 << g.n)})
         for step, h in derived_graphs(g):
             up = parent_indices(step, h.n)
             lookup = _inherit((g, step))
@@ -205,10 +271,7 @@ def test_inherited_solves_match_fresh_solves():
             cert = treedepth(derive(g, step))
             want = fresh_cert(h)
             assert cert.value == want.value and cert.witness == want.witness, (g, step)
-            ref = _Search(h, DEFAULT_CONFIG, {})
-            for mask, value in solver._search_cache[h].memo.items():
-                assert component_masks(h.adj, mask) == [mask]
-                assert value == ref.solve_conn(mask), (g, step, bin(mask))
+            assert_stores_valid(h, solver._search_cache[h])
 
 
 def test_inherited_minor_solves_expand_fewer_nodes():
@@ -232,6 +295,18 @@ def test_treedepth_le():
     assert not treedepth_le(path(2), 0)
     with pytest.raises(ValueError):
         treedepth_le(path(2), -1)
+
+
+def test_treedepth_le_is_a_bounded_search():
+    # Every k agrees with the exact value, and no certificate is built.
+    rng = random.Random(31)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 11), rng.random())
+        td = fresh_cert(g).value
+        for k in range(g.n + 1):
+            assert treedepth_le(g, k) == (td <= k), (g, k)
+        solved = solver._search_cache.get(g)
+        assert solved is None or solved.cert is None
 
 
 # -- certificates ----------------------------------------------------------------------
@@ -314,6 +389,27 @@ def test_memo_capacity_acts_as_budget():
     g = hn(5)[0]
     with pytest.raises(BudgetExceededError):
         treedepth(g, SolverConfig(memo_capacity=2))
+
+
+def test_memo_capacity_bounds_both_stores():
+    # Values written as the recursion unwinds, lower bounds and values
+    # copied from the parent's memo all count, so the two stores together
+    # never pass the capacity.
+    g = hn(6)[0]
+    treedepth(g)
+    config = SolverConfig(memo_capacity=30)
+    for step in one_step_minor_steps(g):
+        for inherit in (True, False):
+            h = apply_minor_step(g, step)
+            solver._search_cache.pop(h, None)
+            if inherit:
+                h = derive(g, step)
+            try:
+                entries = treedepth(h, config).stats.memo_entries
+            except BudgetExceededError as exc:
+                entries = exc.stats.memo_entries
+            solved = solver._search_cache[h]
+            assert entries == len(solved.memo) + len(solved.lower) <= 30, step
 
 
 def test_generous_budget_still_exact():
