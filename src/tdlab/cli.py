@@ -2,10 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 property-check failure,
 2 parse error, 3 budget exhaustion, 4 usage error. Flags mirror environment
-variables with the TDLAB_ prefix (TDLAB_THREADS, TDLAB_NODE_BUDGET,
-TDLAB_TIME_BUDGET, TDLAB_MEMO_CAPACITY, TDLAB_FORMAT, TDLAB_SEED); an
-explicit flag wins over its environment variable. --threads and TDLAB_THREADS
-are still parsed but change nothing: every solve runs in the calling thread.
+variables with the TDLAB_ prefix (TDLAB_NODE_BUDGET, TDLAB_TIME_BUDGET,
+TDLAB_MEMO_CAPACITY, TDLAB_FORMAT, TDLAB_SEED); an explicit flag wins over
+its environment variable.
 
 Stdout is deterministic for identical inputs and flags; wall-clock timings
 go to stderr.
@@ -57,10 +56,6 @@ FAMILIES = {
 }
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
 def _count(text: str) -> int:
     """A non-negative integer: a node budget or a memo capacity."""
     try:
@@ -85,15 +80,26 @@ def _seconds(text: str) -> float:
     return value
 
 
+GRAPH_FORMATS = ("edgelist", "graph6")
+
+
+def _graph_format(text: str) -> str:
+    if text not in GRAPH_FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(GRAPH_FORMATS)})"
+        )
+    return text
+
+
 # Options with an environment mirror: dest -> (variable, parser, fallback).
 # The parser leaves them None when no flag is given; _apply_env fills them in
 # inside main's error handling, so a bad value is a usage error, not a crash.
 _ENV_OPTIONS = {
-    "threads": ("THREADS", int, 1),
     "node_budget": ("NODE_BUDGET", _count, None),
     "time_budget": ("TIME_BUDGET", _seconds, None),
     "memo_capacity": ("MEMO_CAPACITY", _count, None),
     "seed": ("SEED", int, 0),
+    "format": ("FORMAT", _graph_format, None),
 }
 
 
@@ -101,7 +107,7 @@ def _apply_env(args: argparse.Namespace) -> None:
     for dest, (name, parse, fallback) in _ENV_OPTIONS.items():
         if not hasattr(args, dest) or getattr(args, dest) is not None:
             continue
-        raw = _env(name)
+        raw = os.environ.get(ENV_PREFIX + name)
         if raw is None:
             setattr(args, dest, fallback)
             continue
@@ -122,10 +128,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _solver_options() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
-        "--threads", type=int,
-        help="accepted and ignored: every solve runs in the calling thread",
-    )
-    p.add_argument(
         "--node-budget", type=_count,
         help="abort with bounds after this many expanded nodes",
     )
@@ -144,7 +146,7 @@ def _solver_options() -> argparse.ArgumentParser:
 def _io_options() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
-        "--format", choices=("edgelist", "graph6"), default=_env("FORMAT"),
+        "--format", choices=GRAPH_FORMATS,
         help="force the graph input format (default: auto-detect)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -170,7 +172,7 @@ def _read_text(source: str) -> str:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    return parse_graph_text(_read_text(args.graph), getattr(args, "format", None))
+    return parse_graph_text(_read_text(args.graph), args.format)
 
 
 def _emit_json(doc) -> None:
@@ -394,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("size", type=int)
     p.add_argument(
-        "--format", choices=("edgelist", "graph6"), default=_env("FORMAT"),
-        help="output format (default edgelist)",
+        "--format", choices=GRAPH_FORMATS, help="output format (default edgelist)",
     )
     p.set_defaults(func=cmd_gen)
 
@@ -416,9 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int, default=None, help="restrict to one vertex")
     p.set_defaults(func=cmd_unique1)
 
-    p = sub.add_parser("reproduce", parents=[io_opts, solver_opts],
+    p = sub.add_parser("reproduce", parents=[solver_opts],
                        help="certify the hn family up to n_max")
     p.add_argument("n_max", type=int)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("selftest", help="reduced-scale cross-validation suites")

@@ -34,13 +34,6 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def component_of(adj: tuple[int, ...], sub: int, start: int) -> int:
     """Connected component of `start` inside the induced subgraph on `sub`."""
     comp = frontier = (1 << start) & sub

@@ -5,14 +5,15 @@ labeling-space brute force on every connected labeled graph with at most 5
 vertices, the two 1-uniqueness methods against each other on the same range,
 and a seeded random spot check of minor monotonicity. Acceptance criteria 7
 and 8 (tests/test_acceptance.py) run the first two sweeps at full scale, on
-at most 6 vertices.
+at most 6 vertices; criterion 10 and tests/test_solver.py run the spot check
+on larger graphs.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graphs import Graph, apply_minor_step, one_step_minor_steps
 from .critical import one_unique_direct, one_unique_starclique
@@ -67,12 +68,12 @@ def uniqueness_cross_validation_suite(max_n: int = 5) -> tuple[bool, str]:
     return True, f"{checked} vertex checks up to {max_n} vertices"
 
 
-def monotonicity_spot_check(seed: int = 0, rounds: int = 40) -> tuple[bool, str]:
-    """td never grows under any one-step minor, on seeded random graphs."""
+def monotonicity_spot_check(seed: int = 0, rounds: int = 40, max_n: int = 8) -> tuple[bool, str]:
+    """td never grows under any one-step minor, on seeded random graphs <= max_n."""
     rng = random.Random(seed)
     checked = 0
     for _ in range(rounds):
-        n = rng.randint(2, 8)
+        n = rng.randint(2, max_n)
         g = random_graph(rng, n, rng.uniform(0.2, 0.8))
         base = treedepth(g).value
         for step in one_step_minor_steps(g):
@@ -83,7 +84,7 @@ def monotonicity_spot_check(seed: int = 0, rounds: int = 40) -> tuple[bool, str]
     return True, f"{checked} minor steps over {rounds} seeded graphs"
 
 
-def run_selftest(seed: int = 0, emit: Callable[[str], None] = print) -> bool:
+def run_selftest(seed: int = 0) -> bool:
     suites = [
         ("oracle equivalence (<=5 vertices)", lambda: oracle_equivalence_suite(5)),
         (
@@ -95,6 +96,6 @@ def run_selftest(seed: int = 0, emit: Callable[[str], None] = print) -> bool:
     all_ok = True
     for name, suite in suites:
         ok, detail = suite()
-        emit(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         all_ok = all_ok and ok
     return all_ok

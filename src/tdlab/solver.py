@@ -116,26 +116,33 @@ def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def _dfs_height(adj: tuple[int, ...], mask: int, root: int) -> int:
+def _dfs_height(adj: tuple[int, ...], mask: int, root: int, depth: list | None = None) -> int:
     """Height in vertices of the DFS tree from `root` inside `mask`.
 
     Neighbours are explored in ascending order, so the value is
     deterministic. Every non-tree edge of a DFS tree joins an ancestor to a
     descendant, hence labeling each vertex with height - depth + 1 is
     feasible and the height is an upper bound for the tree-depth. The stack
-    is the tree path from the root, so its length is the depth of its top.
+    is the tree path from the root, so its length is the depth of its top;
+    if a `depth` list is given, each vertex's depth is written into it.
     """
     unvisited = mask & ~(1 << root)
     stack = [root]
     height = 1
+    if depth is not None:
+        depth[root] = 1
     while stack:
         free = adj[stack[-1]] & unvisited
         if free:
             low = free & -free
             unvisited ^= low
-            stack.append(low.bit_length() - 1)
-            if len(stack) > height:
-                height = len(stack)
+            v = low.bit_length() - 1
+            stack.append(v)
+            d = len(stack)
+            if depth is not None:
+                depth[v] = d
+            if d > height:
+                height = d
         else:
             stack.pop()
     return height
@@ -607,29 +614,18 @@ def bounds(g: Graph) -> Bounds:
 def _dfs_ranking(g: Graph) -> Ranking:
     """The ranking behind the upper bound of `bounds`.
 
-    Each component is searched as in `_dfs_height`, from its root of least
-    DFS height, and a vertex at depth d of a tree of height h gets label
+    Each component is walked by `_dfs_height` from its root of least DFS
+    height, and a vertex at depth d of a tree of height h gets label
     h - d + 1. The largest label is the upper bound.
     """
     adj = g.adj
+    depth = [0] * g.n
     labels = [0] * g.n
-    for root in _dfs_roots(g)[1]:
-        depth = {root: 1}
-        unvisited = g.full_mask() & ~(1 << root)
-        stack = [root]
-        while stack:
-            free = adj[stack[-1]] & unvisited
-            if free:
-                low = free & -free
-                unvisited ^= low
-                v = low.bit_length() - 1
-                stack.append(v)
-                depth[v] = len(stack)
-            else:
-                stack.pop()
-        height = max(depth.values())
-        for v, d in depth.items():
-            labels[v] = height - d + 1
+    comps = component_masks(adj, g.full_mask())
+    for root, comp in zip(_dfs_roots(g)[1], comps):
+        height = _dfs_height(adj, comp, root, depth)
+        for v in bit_indices(comp):
+            labels[v] = height - depth[v] + 1
     return Ranking(tuple(labels), max(labels))
 
 

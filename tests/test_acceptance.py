@@ -10,26 +10,17 @@ graph on up to 6 vertices and take a minute or two combined.
 import random
 import time
 
-from tdlab.critical import is_critical, uniqueness_report
+from tdlab.critical import family_witnesses_ok, is_critical, uniqueness_report
 from tdlab.formats import (
     format_edge_list,
     format_graph6,
     parse_edge_list,
     parse_graph6,
 )
-from tdlab.graphs import (
-    Graph,
-    MinorStep,
-    apply_minor_step,
-    cartesian_k2,
-    hn,
-    is_isomorphic,
-    k_net,
-    one_step_minor_steps,
-    star_clique,
-)
-from tdlab.ranking import hn_minor_witness, verify_ranking, witness_hn, witness_kak2
+from tdlab.graphs import Graph, cartesian_k2, hn, is_isomorphic, k_net, star_clique
+from tdlab.ranking import verify_ranking, witness_kak2
 from tdlab.selftest import (
+    monotonicity_spot_check,
     oracle_equivalence_suite,
     random_graph,
     uniqueness_cross_validation_suite,
@@ -130,39 +121,15 @@ def test_criterion_08_oracle_equivalence():
 
 
 def test_criterion_09_witness_suite():
-    ok = True
-    counted = 0
-    for n in range(4, 8):
-        g, _ = hn(n)
-        top = witness_hn(n)
-        ok = ok and top.colors == n + 1 and top.max_label == n + 1
-        ok = ok and verify_ranking(g, top) is None
-        steps = [MinorStep.del_edge(u, v) for u, v in g.edges()]
-        steps += [MinorStep.contract(u, v) for u, v in g.edges()]
-        steps += [MinorStep.del_vertex(v) for v in range(g.n)]
-        for step in steps:
-            minor, coloring = hn_minor_witness(n, step)
-            ok = ok and verify_ranking(minor, coloring) is None
-            ok = ok and coloring.max_label <= n
-            counted += 1
-    _report(9, ok, f"witness_hn and {counted} minor colorings valid for n=4..7, solver unused")
+    ok = all(family_witnesses_ok(n) for n in range(4, 8))
+    _report(9, ok, "witness_hn and every minor coloring valid for n=4..7, solver unused")
 
 
 def test_criterion_10_property_suite():
-    rng = random.Random(SEED)
-    ok = True
-    notes = []
-
     # minor monotonicity on random graphs up to 12 vertices
-    steps_checked = 0
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.15, 0.85))
-        base = treedepth(g).value
-        for step in one_step_minor_steps(g):
-            if treedepth(apply_minor_step(g, step)).value > base:
-                ok = False
-            steps_checked += 1
-    notes.append(f"monotonicity over {steps_checked} minor steps")
+    ok, detail = monotonicity_spot_check(SEED, rounds=20, max_n=12)
+    notes = [f"monotonicity: {detail}"]
+    rng = random.Random(SEED)
 
     # tree-depth of a disconnected graph is the component maximum
     for _ in range(25):

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from tdlab.formats import format_graph_text, parse_graph_text
 from tdlab.graphs import cartesian_k2, complete, cycle, hn, k_net, path
 from tdlab.ranking import Ranking, verify_ranking
 from tdlab.solver import treedepth
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 FAMILY_CASES = [
     ("hn", 4, lambda n: hn(n)[0]),
@@ -212,6 +215,26 @@ def test_unique1_all_unique_graph(tmp_path, capsys):
     assert "all vertices 1-unique" in out
 
 
+@pytest.mark.parametrize("name", ["hn7", "kak2_4"])
+def test_unique1_json_matches_pinned_fields(capsys, name):
+    # Every field but the witnesses is pinned byte for byte; a witness must be
+    # a ranking with td colours that gives its vertex the only label 1.
+    gpath = PERFBENCH / "inputs" / f"{name}.g6"
+    code, out, _ = run(capsys, ["unique1", "--json", str(gpath)])
+    assert code == 0
+    doc = json.loads(out)
+    witnesses = [(v["vertex"], v.pop("witness")) for v in doc["vertices"]]
+    want = (PERFBENCH / "expected" / f"unique1_{name}.json").read_text(encoding="ascii")
+    assert json.dumps(doc, sort_keys=True) + "\n" == want
+    g = parse_graph_text(gpath.read_text(encoding="ascii"))
+    td = treedepth(g).value
+    for vertex, labels in witnesses:
+        if labels is None:
+            continue
+        assert verify_ranking(g, Ranking(tuple(labels), td)) is None
+        assert labels[vertex] == 1 and labels.count(1) == 1
+
+
 # -- reproduce -----------------------------------------------------------------------------
 
 def test_reproduce_human_table(capsys):
@@ -271,11 +294,11 @@ def test_env_node_budget_mirror(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "name, value",
     [
-        ("THREADS", "abc"),
         ("NODE_BUDGET", "many"),
         ("TIME_BUDGET", "soon"),
         ("MEMO_CAPACITY", "1.5"),
         ("SEED", "x"),
+        ("FORMAT", "xyz"),
     ],
 )
 def test_env_malformed_value_is_usage_error(tmp_path, capsys, monkeypatch, name, value):
@@ -356,9 +379,19 @@ def test_no_command_is_usage_error(capsys):
     assert main([]) == 4
 
 
-def test_threads_flag_accepted(tmp_path, capsys):
-    code, out, _ = run(
-        capsys, ["critical", write_graph(tmp_path, hn(4)[0]), "--threads", "4"]
-    )
-    assert code == 0
-    assert "verdict: critical" in out
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("td", "--threads", "4"),
+        ("critical", "--threads", "4"),
+        ("unique1", "--threads", "4"),
+        ("reproduce", "--threads", "4"),
+        ("reproduce", "--format", "graph6"),
+    ],
+)
+def test_removed_options_are_usage_errors(tmp_path, capsys, command, flag, value):
+    target = "4" if command == "reproduce" else write_graph(tmp_path, hn(4)[0])
+    code, out, err = run(capsys, [command, target, flag, value])
+    assert code == 4
+    assert out == ""
+    assert flag in err

@@ -24,7 +24,7 @@ from tdlab.graphs import (
     star_clique,
 )
 from tdlab.ranking import Ranking, verify_ranking
-from tdlab.selftest import iter_labeled_graphs, random_graph
+from tdlab.selftest import iter_labeled_graphs, monotonicity_spot_check, random_graph
 from tdlab.solver import (
     DEFAULT_CONFIG,
     Bounds,
@@ -339,12 +339,8 @@ def test_certificates_are_deterministic():
 
 
 def test_minor_monotonicity_random():
-    rng = random.Random(41)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(2, 10), rng.random())
-        base = treedepth(g).value
-        for step in one_step_minor_steps(g):
-            assert treedepth(apply_minor_step(g, step)).value <= base
+    ok, detail = monotonicity_spot_check(41, rounds=25, max_n=10)
+    assert ok, detail
 
 
 # -- bounds ------------------------------------------------------------------------------
