@@ -81,6 +81,7 @@ def _seconds(text: str) -> float:
 
 
 GRAPH_FORMATS = ("edgelist", "graph6")
+_FORMAT_METAVAR = "{" + ",".join(GRAPH_FORMATS) + "}"
 
 
 def _graph_format(text: str) -> str:
@@ -146,7 +147,7 @@ def _solver_options() -> argparse.ArgumentParser:
 def _io_options() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
-        "--format", choices=GRAPH_FORMATS,
+        "--format", type=_graph_format, metavar=_FORMAT_METAVAR,
         help="force the graph input format (default: auto-detect)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -305,11 +306,13 @@ def _uniqueness_doc(report: UniquenessReport) -> dict:
 
 def cmd_unique1(args: argparse.Namespace) -> int:
     g = _load_graph(args)
+    if args.vertex is not None and not 0 <= args.vertex < g.n:
+        raise ValueError(f"vertex {args.vertex} does not exist (n={g.n})")
+    # The graph-level fields and the exit code describe the whole graph, so
+    # the whole report is built even for one vertex.
     report = uniqueness_report(g, _config_from(args))
     selected = report.per_vertex
     if args.vertex is not None:
-        if not 0 <= args.vertex < g.n:
-            raise ValueError(f"vertex {args.vertex} does not exist (n={g.n})")
         selected = tuple(u for u in report.per_vertex if u.vertex == args.vertex)
     if args.json:
         doc = _uniqueness_doc(report)
@@ -396,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("size", type=int)
     p.add_argument(
-        "--format", choices=GRAPH_FORMATS, help="output format (default edgelist)",
+        "--format", type=_graph_format, metavar=_FORMAT_METAVAR,
+        help="output format (default edgelist)",
     )
     p.set_defaults(func=cmd_gen)
 

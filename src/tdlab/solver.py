@@ -39,6 +39,7 @@ from typing import Callable
 from .graphs import (
     Graph,
     MinorStep,
+    _drop_bit,
     apply_minor_step,
     bit_indices,
     component_masks,
@@ -216,14 +217,14 @@ class _Search:
     subproblems that were only asked whether they beat a bound. Every entry
     is valid whatever the caller's incumbent, so a call stopped by its budget
     leaves only exact values and valid bounds. A graph built by `derive`
-    also reads both stores of its parent wherever the two induced subgraphs
-    are identical (see `_inherit`); an exact value read there is copied into
-    the memo.
+    also reads both stores of its parent (`_Solved.parent`) wherever the two
+    induced subgraphs are identical (see `_inherit`). That read happens in
+    one place, at the top of `solve_conn`, before the subproblem counts as
+    a node; an exact value read there is copied into the memo.
     """
 
     __slots__ = (
-        "adj", "n", "config", "memo", "lower", "lift", "up_memo", "up_lower",
-        "nodes", "_start", "_deadline",
+        "adj", "n", "config", "memo", "lower", "parent", "nodes", "_start", "_deadline",
     )
 
     def __init__(self, g: Graph, config: SolverConfig, solved: _Solved):
@@ -232,10 +233,7 @@ class _Search:
         self.config = config
         self.memo = solved.memo
         self.lower = solved.lower
-        self.lift = _inherit(solved.parent)
-        if self.lift is not None:
-            up = _solved_for(solved.parent[0])
-            self.up_memo, self.up_lower = up.memo, up.lower
+        self.parent = solved.parent
         self.nodes = 0
         self._start = time.monotonic()
         self._deadline = (
@@ -291,15 +289,15 @@ class _Search:
         if val is not None:
             return val
         known = self.lower.get(mask, 0)
-        lift = self.lift
-        if lift is not None:
-            up = lift(mask)
-            if up is not None:
-                val = self.up_memo.get(up)
+        if self.parent is not None:
+            up, lift = self.parent
+            p = lift(mask)
+            if p is not None:
+                val = up.memo.get(p)
                 if val is not None:
                     self._store(memo, mask, val)
                     return val
-                known = max(known, self.up_lower.get(up, 0))
+                known = max(known, up.lower.get(p, 0))
         if known >= ub:
             return known
         self._tick()
@@ -322,12 +320,6 @@ class _Search:
                 # Only connected masks are memoized, so a hit is the value of
                 # the whole rest and needs no split.
                 worst = memo.get(rest)
-                if worst is None and lift is not None:
-                    up = lift(rest)
-                    if up is not None:
-                        worst = self.up_memo.get(up)
-                        if worst is not None:
-                            self._store(memo, rest, worst)
                 if worst is None:
                     comps = _split(adj, rest, adj[v] & rest)
                     if len(comps) == 1:
@@ -407,19 +399,21 @@ class _Search:
 
 @dataclass(slots=True)
 class _Solved:
-    """What is known of one graph, and the graph and step it was derived from
-    (see `derive`).
+    """What is known of one graph, and the parent it was derived from (see `derive`).
 
     `memo` maps a connected mask to its exact tree-depth. `lower` maps a
     connected mask to a proven lower bound of its tree-depth; an entry is
     only ever raised, and may stay after the mask's exact value is found.
-    `cert` is the finished certificate.
+    `cert` is the finished certificate. `parent` is set by `derive`: the
+    parent graph's own entry, and the lift of `_inherit` from this graph's
+    masks to the parent's. Holding the entry keeps the parent's stores
+    readable after the parent has left the search cache.
     """
 
     memo: dict[int, int] = field(default_factory=dict)
     lower: dict[int, int] = field(default_factory=dict)
     cert: TdCertificate | None = None
-    parent: tuple[Graph, MinorStep | int] | None = None
+    parent: tuple[_Solved, Callable[[int], int | None]] | None = None
 
 
 # Every call, budgeted or not, reads and writes its graph's entry; budgets and
@@ -447,68 +441,50 @@ def _solved_for(g: Graph) -> _Solved:
 def derive(g: Graph, step: MinorStep | int) -> Graph:
     """Apply `step` to g and let the solves of the result read g's stores.
 
-    `step` is a `MinorStep`, or a vertex v for `star_clique(g, v)`. Later
-    `treedepth` and `treedepth_le` calls on the returned graph read each
-    subproblem that is identical in g from g's memo and lower bounds
-    instead of searching it (see `_inherit`). Both are valid for the
+    `step` is a `MinorStep`, or a vertex v for `star_clique(g, v)`. The step
+    drops at most one vertex: none for an edge deletion, max(u, v) for a
+    contraction or a vertex deletion, and v for the transform. The lift of
+    `_inherit` is built here, once, and stored with g's cache entry in the
+    result's `parent`. Later `treedepth` and `treedepth_le` calls on the
+    returned graph read each subproblem that is identical in g from g's memo
+    and lower bounds instead of searching it. Both are valid for the
     identical subgraph, so the value and the witness are those of a search
     from empty stores.
     """
     if isinstance(step, MinorStep):
         h = apply_minor_step(g, step)
+        drop = None if step.kind == "delete_edge" else max(step.u, step.v)
     else:
         h = star_clique(g, step)
-    _solved_for(h).parent = (g, step)
+        drop = step
+    _solved_for(h).parent = (_solved_for(g), _inherit(g, h, drop))
     return h
 
 
-def _inherit(parent: tuple[Graph, MinorStep | int] | None) -> Callable[[int], int | None] | None:
-    """The mask of a derived graph h's subproblem in its parent, when identical.
+def _inherit(g: Graph, h: Graph, drop: int | None) -> Callable[[int], int | None]:
+    """The lift of a mask of h to the mask of the identical subgraph of g.
 
-    `parent` is `(g, step)` as given to `derive`. A mask S of h maps to the
-    mask P of g with a 0 bit put back at the removed index (P = S for an edge
-    deletion). P is returned only when g[P] is h[S] itself, else None:
-    - delete_edge(u, v): P does not hold both u and v;
-    - contract_edge(u, v), keeping min and dropping max: keep is not in P, or
-      no vertex of P other than keep is a neighbour of drop but not of keep;
-    - delete_vertex(v): always, since v is isolated;
-    - star_clique(g, v): v's neighbours in P already form a clique of g.
+    h is g with at most one vertex `drop` removed (higher vertices shift
+    down) and some edges changed. A mask S of h maps to the mask P of g that
+    has a 0 bit put back at `drop`. g[P] is h[S] exactly when no changed
+    edge has both ends in S; the lift returns P then, and None otherwise.
     """
-    if parent is None:
-        return None
-    g, step = parent
-    kind = step.kind if isinstance(step, MinorStep) else "star_clique"
-    adj = g.adj
-
-    if kind == "delete_edge":
-        both = 1 << step.u | 1 << step.v
-        return lambda s: None if s & both == both else s
-
-    if kind == "contract_edge":
-        keep, drop = min(step.u, step.v), max(step.u, step.v)
-        keep_bit = 1 << keep
-        grows = adj[drop] & ~adj[keep] & ~keep_bit
-
-        def differs(p: int) -> bool:
-            return bool(p & keep_bit and p & grows)
-
-    elif kind == "delete_vertex":
-        drop = step.u
-
-        def differs(p: int) -> bool:
-            return False
-
-    else:
-        drop, nbrs = step, adj[step]
-
-        def differs(p: int) -> bool:
-            return not _is_clique(adj, p & nbrs)
-
+    if drop is None:
+        drop = g.n  # past every vertex: no bit is put back
+    rows = [_drop_bit(g.adj[u], drop) for u in range(g.n) if u != drop]
+    # changed[i]: the vertices whose adjacency to i differs from the parent's
+    changed = [row ^ old for row, old in zip(h.adj, rows)]
+    touched = sum(1 << i for i, c in enumerate(changed) if c)
     low = (1 << drop) - 1
 
     def lift(s: int) -> int | None:
-        p = (s & low) | (s >> drop << (drop + 1))
-        return None if differs(p) else p
+        m = s & touched
+        while m:
+            b = m & -m
+            if changed[b.bit_length() - 1] & s:
+                return None
+            m ^= b
+        return (s & low) | (s >> drop << (drop + 1))
 
     return lift
 

@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes, JSON documents, env mirrors."""
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -209,6 +210,20 @@ def test_unique1_single_vertex(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].split()[0] == "3"
 
 
+@pytest.mark.parametrize("vertex", ["99", "-1"])
+def test_unique1_checks_vertex_before_the_report(tmp_path, capsys, monkeypatch, vertex):
+    def no_report(*args, **kwargs):
+        raise AssertionError("uniqueness_report called for a vertex out of range")
+
+    monkeypatch.setattr("tdlab.cli.uniqueness_report", no_report)
+    code, out, err = run(
+        capsys, ["unique1", write_graph(tmp_path, hn(4)[0]), "--vertex", vertex]
+    )
+    assert code == 4
+    assert out == ""
+    assert f"error: vertex {vertex} does not exist (n=7)" in err
+
+
 def test_unique1_all_unique_graph(tmp_path, capsys):
     code, out, _ = run(capsys, ["unique1", write_graph(tmp_path, complete(4))])
     assert code == 0
@@ -233,6 +248,20 @@ def test_unique1_json_matches_pinned_fields(capsys, name):
             continue
         assert verify_ranking(g, Ranking(tuple(labels), td)) is None
         assert labels[vertex] == 1 and labels.count(1) == 1
+
+
+# sha256 of the full `unique1 --json` stdout, witnesses of the transforms included
+UNIQUE1_JSON_SHA256 = {
+    "hn7": "ce91a65dbdb82e35e4f04747c568e7813e7d5db0fac8c6e6b567f7950b33987b",
+    "kak2_4": "9c1def0ad4de4acd614e2df959a549bf9288b55bc6cac068620abb3ae3c80660",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIQUE1_JSON_SHA256))
+def test_unique1_json_with_witnesses_is_pinned(capsys, name):
+    code, out, _ = run(capsys, ["unique1", "--json", str(PERFBENCH / "inputs" / f"{name}.g6")])
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == UNIQUE1_JSON_SHA256[name]
 
 
 # -- reproduce -----------------------------------------------------------------------------
@@ -308,6 +337,26 @@ def test_env_malformed_value_is_usage_error(tmp_path, capsys, monkeypatch, name,
     assert code == 4
     assert out == ""
     assert f"TDLAB_{name}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["td", "gen", "verify", "critical", "unique1"])
+def test_format_flag_is_checked_like_its_env_mirror(tmp_path, capsys, monkeypatch, command):
+    # The flag and TDLAB_FORMAT go through the same validator, so both give
+    # the same message; usage still lists the choices.
+    target = ["hn", "4"] if command == "gen" else [write_graph(tmp_path, cycle(5))]
+    if command == "verify":
+        target.append(target[0])
+    code, out, flag_err = run(capsys, [command, *target, "--format", "xyz"])
+    assert code == 4
+    assert out == ""
+    assert "--format {edgelist,graph6}" in flag_err
+    monkeypatch.setenv("TDLAB_FORMAT", "xyz")
+    code, out, env_err = run(capsys, [command, *target])
+    assert code == 4
+    assert out == ""
+    message = env_err.strip().split("TDLAB_FORMAT: ")[1]
+    assert message.startswith("invalid choice: 'xyz'")
+    assert flag_err.strip().endswith(message)
 
 
 @pytest.mark.parametrize(

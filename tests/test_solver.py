@@ -221,15 +221,21 @@ def derived_graphs(g):
             yield v, star_clique(g, v)
 
 
+def dropped_vertex(step):
+    # the parent vertex a step removes, or None for an edge deletion
+    if isinstance(step, int):
+        return step
+    if step.kind == "contract_edge":
+        return max(step.u, step.v)
+    if step.kind == "delete_vertex":
+        return step.u
+    return None
+
+
 def parent_indices(step, n):
     # vertex i of the derived graph on n vertices is vertex up[i] of the parent
-    if isinstance(step, int):
-        removed = step
-    elif step.kind == "contract_edge":
-        removed = max(step.u, step.v)
-    elif step.kind == "delete_vertex":
-        removed = step.u
-    else:
+    removed = dropped_vertex(step)
+    if removed is None:
         return list(range(n))
     return [i if i < removed else i + 1 for i in range(n)]
 
@@ -245,7 +251,7 @@ def test_inherit_accepts_exactly_the_identical_subgraphs():
     for g in graphs:
         for step, h in derived_graphs(g):
             up = parent_indices(step, h.n)
-            lookup = _inherit((g, step))
+            lookup = _inherit(g, h, dropped_vertex(step))
             # differ[i]: vertices whose adjacency to i is not the parent's
             differ = [
                 h.adj[i] ^ sum(1 << j for j in range(h.n) if g.adj[up[i]] >> up[j] & 1)
@@ -272,6 +278,42 @@ def test_inherited_solves_match_fresh_solves():
             want = fresh_cert(h)
             assert cert.value == want.value and cert.witness == want.witness, (g, step)
             assert_stores_valid(h, solver._search_cache[h])
+
+
+def test_derived_solve_reads_an_evicted_parent(monkeypatch):
+    # The derived graph keeps its parent's entry, so the parent's stores still
+    # serve it after the parent has left the cache, and the solve does not put
+    # the parent back.
+    monkeypatch.setattr(solver, "_SEARCH_CACHE_SIZE", 2)
+    g = hn(6)[0]
+    treedepth(g)
+    step = one_step_minor_steps(g)[0]
+    h = derive(g, step)
+    treedepth(path(3))
+    assert g not in solver._search_cache and h in solver._search_cache
+    cert = treedepth(h)
+    want = fresh_cert(h)
+    assert cert.value == want.value and cert.witness == want.witness
+    assert cert.stats.nodes < want.stats.nodes
+    assert g not in solver._search_cache
+
+
+def test_chained_derived_solves_match_fresh_solves():
+    rng = random.Random(37)
+    for _ in range(25):
+        g = random_graph(rng, rng.randint(4, 9), rng.random())
+        solver._search_cache.clear()
+        treedepth(g)
+        s1 = rng.choice(list(derived_graphs(g)))[0]
+        h1 = derive(g, s1)
+        if rng.random() < 0.5:
+            treedepth(h1)
+        s2, h2 = rng.choice(list(derived_graphs(h1)))
+        cert = treedepth(derive(h1, s2))
+        want = fresh_cert(h2)
+        assert cert.value == want.value and cert.witness == want.witness, (g, s1, s2)
+        assert_stores_valid(h1, solver._search_cache[h1])
+        assert_stores_valid(h2, solver._search_cache[h2])
 
 
 def test_inherited_minor_solves_expand_fewer_nodes():
