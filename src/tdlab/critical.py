@@ -11,8 +11,9 @@ Two independent tests are provided. The transform method compares td(G)
 against the graph obtained by deleting v and completing its neighbourhood
 into a clique; v is 1-unique exactly when that transform lowers the
 tree-depth. The direct method searches for an optimal ranking with v pinned
-to label 1 and everything else above 1. The report runs both whenever the
-direct method is in range and insists they agree.
+to label 1 and everything else above 1. Each returns an optimal ranking with
+v alone at label 1, or None. The report runs both whenever the direct method
+is in range and insists they agree.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from .graphs import (
 )
 from .ranking import Ranking, hn_minor_witness, verify_ranking, witness_hn
 from .solver import (
+    BRUTE_FORCE_MAX_VERTICES,
     BudgetExceededError,
     SolverConfig,
     derive,
     search_feasible_labeling,
     treedepth,
 )
-
-DIRECT_MAX_VERTICES = 8
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,28 @@ def is_critical(g: Graph, config: SolverConfig | None = None) -> CriticalityRepo
 
 def one_unique_starclique(
     g: Graph, v: int, config: SolverConfig | None = None
-) -> bool:
-    """Transform test: delete v, complete its neighbourhood, compare tree-depths."""
+) -> Ranking | None:
+    """Transform test: delete v, complete its neighbourhood, compare tree-depths.
+
+    Returns None when the transform is not shallower than g. Otherwise v is
+    1-unique, and the transform's optimal ranking, with every label shifted
+    up by one and v placed alone at label 1, is an optimal ranking of g: a
+    path of g between equal labels either avoids v and is a path of the
+    transform, or passes through v and can be shortcut across the clique on
+    v's former neighbourhood; either way the higher internal label survives
+    the shift. That lifted ranking is returned.
+    """
     if g.n < 2:
         raise ValueError("1-uniqueness tests need at least 2 vertices")
     g._check_vertex(v)
     base = treedepth(g, config).value
-    return treedepth(derive(g, v), config).value < base
+    cert = treedepth(derive(g, v), config)
+    if cert.value >= base:
+        return None
+    labels = [1] * g.n  # v keeps 1; every other vertex is overwritten below
+    for i, lab in enumerate(cert.witness.labels):
+        labels[i if i < v else i + 1] = lab + 1
+    return Ranking(tuple(labels), cert.witness.colors + 1)
 
 
 def one_unique_direct(
@@ -107,9 +122,9 @@ def one_unique_direct(
     Searches all labelings with td(G) colors where v has label 1 and every
     other vertex a label in {2..td(G)}; returns the first valid one or None.
     """
-    if g.n > DIRECT_MAX_VERTICES:
+    if g.n > BRUTE_FORCE_MAX_VERTICES:
         raise ValueError(
-            f"one_unique_direct supports at most {DIRECT_MAX_VERTICES} vertices"
+            f"one_unique_direct supports at most {BRUTE_FORCE_MAX_VERTICES} vertices"
         )
     g._check_vertex(v)
     k = treedepth(g, config).value
@@ -121,9 +136,13 @@ def one_unique_direct(
 class VertexUniqueness:
     vertex: int
     one_unique: bool | None
-    by_starclique: bool | None
     by_direct: bool | None  # None when skipped (n > 8) or inconclusive
     witness: Ranking | None
+
+    @property
+    def by_starclique(self) -> bool | None:
+        # the report's verdict is the transform method's
+        return self.one_unique
 
 
 @dataclass(frozen=True)
@@ -134,23 +153,6 @@ class UniquenessReport:
     direct_method_ran: bool
 
 
-def _lift_transform_witness(g: Graph, v: int, h_witness: Ranking) -> Ranking:
-    """Turn an optimal ranking of the v-transform into one of g with v at 1.
-
-    Shifting every label of the transform up by one and placing v alone at
-    label 1 is feasible: a path of g between equal labels either avoids v and
-    is a path of the transform, or passes through v and can be shortcut
-    across the clique on v's former neighbourhood; either way the higher
-    internal label survives the shift.
-    """
-    labels = [0] * g.n
-    labels[v] = 1
-    for i, lab in enumerate(h_witness.labels):
-        gv = i if i < v else i + 1
-        labels[gv] = lab + 1
-    return Ranking(tuple(labels), h_witness.colors + 1)
-
-
 def uniqueness_report(
     g: Graph, config: SolverConfig | None = None
 ) -> UniquenessReport:
@@ -158,33 +160,29 @@ def uniqueness_report(
 
     The transform method decides every vertex; the direct search also runs
     when the graph has at most 8 vertices, and a disagreement between the two
-    is an internal error. The witness of a 1-unique vertex is the lifted
-    optimal ranking of its transform.
+    is an internal error. The witness of a 1-unique vertex is the transform
+    method's lifted optimal ranking.
     """
     if g.n < 2:
         raise ValueError("1-uniqueness tests need at least 2 vertices")
-    base = treedepth(g, config).value
-    direct_in_range = g.n <= DIRECT_MAX_VERTICES
+    treedepth(g, config)  # a budget stop on g itself ends the whole report
+    direct_in_range = g.n <= BRUTE_FORCE_MAX_VERTICES
 
     def check(v: int) -> VertexUniqueness:
         try:
-            cert_h = treedepth(derive(g, v), config)
-            unique = cert_h.value < base
+            witness = one_unique_starclique(g, v, config)
             by_direct = None
             if direct_in_range:
-                found = one_unique_direct(g, v, config)
-                by_direct = found is not None
+                by_direct = one_unique_direct(g, v, config) is not None
         except BudgetExceededError:
-            return VertexUniqueness(v, None, None, None, None)
+            return VertexUniqueness(v, None, None, None)
+        unique = witness is not None
         if by_direct is not None and by_direct != unique:
             raise RuntimeError(
                 f"1-uniqueness methods disagree at vertex {v}: "
                 f"transform={unique} direct={by_direct}"
             )
-        witness = None
-        if unique:
-            witness = _lift_transform_witness(g, v, cert_h.witness)
-        return VertexUniqueness(v, unique, unique, by_direct, witness)
+        return VertexUniqueness(v, unique, by_direct, witness)
 
     per_vertex = tuple(check(v) for v in range(g.n))
     non_unique = tuple(u.vertex for u in per_vertex if u.one_unique is False)

@@ -364,6 +364,19 @@ class MinorStep:
     def del_vertex(cls, v: int) -> "MinorStep":
         return cls("delete_vertex", v)
 
+    @property
+    def dropped(self) -> int | None:
+        """The vertex the step removes; higher vertices shift down by one.
+
+        None for an edge deletion, u for a vertex deletion, and max(u, v)
+        for a contraction, whose merged vertex keeps min(u, v).
+        """
+        if self.kind == "delete_edge":
+            return None
+        if self.kind == "delete_vertex":
+            return self.u
+        return max(self.u, self.v)
+
     def __str__(self) -> str:
         if self.kind == "delete_vertex":
             return f"-v{self.u}"

@@ -238,33 +238,30 @@ def hn_minor_witness(n: int, step: MinorStep) -> tuple[Graph, Ranking]:
     """The minor of hn(n) under `step` together with its explicit coloring.
 
     Every one-step minor of hn(n) admits a ranking with at most n colors; the
-    coloring used depends on which kind of edge the step touches. Vertex
-    deletions reuse the coloring of an incident edge deletion restricted to
-    the surviving vertices (a feasible labeling stays feasible on any induced
-    subgraph). Labels are mapped through the re-indexing convention of the
-    minor operations.
+    coloring used depends on which kind of edge the step touches. Deleting a
+    vertex x reuses the coloring of the deletion of the edge from x to its
+    lowest neighbour, restricted to the surviving vertices (a feasible
+    labeling stays feasible on any induced subgraph). The label of
+    `step.dropped` is removed, so the rest follow the re-indexing convention
+    of the minor operations.
     """
     if n < 4:
         raise ValueError(f"hn_minor_witness needs n >= 4, got {n}")
     g, layout = hn(n)
     minor = apply_minor_step(g, step)  # validates the step against hn(n)
 
-    if step.kind == "delete_edge":
-        labels = _hn_edge_deletion_labels(n, layout, step.u, step.v)
-        dropped = None
-        merged_label = None
-    elif step.kind == "contract_edge":
+    if step.kind == "contract_edge":
         labels, merged_label = _hn_contraction_labels(n, layout, step.u, step.v)
-        dropped = max(step.u, step.v)
-    else:  # delete_vertex; hn(n) has no isolated vertices but the coloring exists
-        labels = _hn_vertex_deletion_labels(n, layout, step.u)
-        dropped = step.u
-        merged_label = None
-
-    if merged_label is not None:
         labels[min(step.u, step.v)] = merged_label
-    if dropped is not None:
-        labels = labels[:dropped] + labels[dropped + 1 :]
+    elif step.kind == "delete_edge":
+        labels = _hn_edge_deletion_labels(n, layout, step.u, step.v)
+    else:  # delete_vertex; hn(n) has no isolated vertices, so x has a neighbour
+        x = step.u
+        lowest = (g.adj[x] & -g.adj[x]).bit_length() - 1
+        labels = _hn_edge_deletion_labels(n, layout, x, lowest)
+
+    if step.dropped is not None:
+        del labels[step.dropped]
     return minor, Ranking(tuple(labels), n)
 
 
@@ -325,21 +322,3 @@ def _hn_contraction_labels(
     _inject(labels, (b for b in layout.clique if b != other), 3)
     return labels, 1
 
-
-def _hn_vertex_deletion_labels(n: int, layout: HnLayout, x: int) -> list[int]:
-    labels = [0] * (2 * n - 1)
-    role = layout.role(x)
-    if role == "hub":
-        for a in layout.middles:
-            labels[a] = 1
-        _inject(labels, layout.clique, 2)
-        return labels
-    if role == "middle":
-        return _hn_edge_deletion_labels(n, layout, layout.hub, x)
-    # Clique vertex: restrict the pairing-edge-deletion coloring; only the hub
-    # keeps label 2 once x is gone.
-    labels[layout.hub] = 2
-    for a in layout.middles:
-        labels[a] = 1
-    _inject(labels, (b for b in layout.clique if b != x), 3)
-    return labels

@@ -57,7 +57,7 @@ def uniqueness_cross_validation_suite(max_n: int = 5) -> tuple[bool, str]:
     for n in range(2, max_n + 1):
         for g in iter_labeled_graphs(n):
             for v in range(n):
-                by_transform = one_unique_starclique(g, v)
+                by_transform = one_unique_starclique(g, v) is not None
                 by_direct = one_unique_direct(g, v) is not None
                 if by_transform != by_direct:
                     return False, (

@@ -48,6 +48,8 @@ from .graphs import (
 )
 from .ranking import Ranking
 
+# Largest graph the labeling-space search is run on: brute_force_td here and
+# critical.one_unique_direct.
 BRUTE_FORCE_MAX_VERTICES = 8
 
 
@@ -442,18 +444,17 @@ def derive(g: Graph, step: MinorStep | int) -> Graph:
     """Apply `step` to g and let the solves of the result read g's stores.
 
     `step` is a `MinorStep`, or a vertex v for `star_clique(g, v)`. The step
-    drops at most one vertex: none for an edge deletion, max(u, v) for a
-    contraction or a vertex deletion, and v for the transform. The lift of
-    `_inherit` is built here, once, and stored with g's cache entry in the
-    result's `parent`. Later `treedepth` and `treedepth_le` calls on the
-    returned graph read each subproblem that is identical in g from g's memo
-    and lower bounds instead of searching it. Both are valid for the
-    identical subgraph, so the value and the witness are those of a search
-    from empty stores.
+    drops at most one vertex: `step.dropped` for a minor step, and v for the
+    transform. The lift of `_inherit` is built here, once, and stored with
+    g's cache entry in the result's `parent`. Later `treedepth` and
+    `treedepth_le` calls on the returned graph read each subproblem that is
+    identical in g from g's memo and lower bounds instead of searching it.
+    Both are valid for the identical subgraph, so the value and the witness
+    are those of a search from empty stores.
     """
     if isinstance(step, MinorStep):
         h = apply_minor_step(g, step)
-        drop = None if step.kind == "delete_edge" else max(step.u, step.v)
+        drop = step.dropped
     else:
         h = star_clique(g, step)
         drop = step
@@ -517,11 +518,7 @@ def treedepth_le(g: Graph, k: int, config: SolverConfig | None = None) -> bool:
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if k == 0:
-        return False
-    if k >= g.n:
-        return True
-    quick = bounds(g)
+    quick = bounds(g)  # 1 <= lower and upper <= n decide k = 0 and k >= n
     if quick.upper <= k:
         return True
     if quick.lower > k:

@@ -113,19 +113,27 @@ def test_one_step_sufficiency_for_bounded_multistep_minors():
 
 # -- 1-uniqueness methods ---------------------------------------------------------
 
+def assert_one_unique_witness(g, v, r):
+    # an optimal ranking of g that gives v the only label 1
+    assert r is not None
+    assert verify_ranking(g, r) is None
+    assert r.colors == treedepth(g).value
+    assert r.labels[v] == 1 and r.labels.count(1) == 1
+
+
 def test_hn_hub_is_the_only_non_unique_vertex():
     for n in (4, 5):
         g, layout = hn(n)
-        assert one_unique_starclique(g, layout.hub) is False
+        assert one_unique_starclique(g, layout.hub) is None
         for v in range(1, g.n):
-            assert one_unique_starclique(g, v) is True
+            assert_one_unique_witness(g, v, one_unique_starclique(g, v))
 
 
 def test_cliques_are_one_unique_everywhere():
     for m in (2, 3, 4, 5):
         g = complete(m)
         for v in range(m):
-            assert one_unique_starclique(g, v) is True
+            assert_one_unique_witness(g, v, one_unique_starclique(g, v))
 
 
 def test_one_unique_direct_hn4():

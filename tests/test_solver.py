@@ -11,6 +11,8 @@ from tdlab import solver
 from tdlab.formats import format_graph6
 from tdlab.graphs import (
     Graph,
+    MinorStep,
+    _drop_bit,
     apply_minor_step,
     bit_indices,
     cartesian_k2,
@@ -238,6 +240,29 @@ def parent_indices(step, n):
     if removed is None:
         return list(range(n))
     return [i if i < removed else i + 1 for i in range(n)]
+
+
+def test_minor_step_dropped_is_the_vertex_apply_minor_step_removes():
+    # Every step of every labeled graph on 2-5 vertices, every vertex
+    # deletion included: the minor has one vertex fewer exactly when a vertex
+    # is dropped, and between the vertices the step does not touch (neither
+    # endpoint) it keeps g's adjacency, each row shifted down at `dropped`.
+    for n in range(2, 6):
+        for g in iter_labeled_graphs(n, connected_only=False):
+            steps = [MinorStep.del_vertex(v) for v in range(n)]
+            for u, v in g.edges():
+                steps += [MinorStep.del_edge(u, v), MinorStep.contract(u, v)]
+            for step in steps:
+                dropped = step.dropped
+                assert dropped == dropped_vertex(step), step
+                minor = apply_minor_step(g, step)
+                assert minor.n == g.n - (dropped is not None), (g, step)
+                d = n if dropped is None else dropped  # past every vertex: no shift
+                keep = sum(1 << w for w in range(n) if w not in (step.u, step.v))
+                for w in bit_indices(keep):
+                    i = _drop_bit(1 << w, d).bit_length() - 1
+                    row = minor.adj[i] & _drop_bit(keep, d)
+                    assert row == _drop_bit(g.adj[w] & keep, d), (g, step, w)
 
 
 def test_inherit_accepts_exactly_the_identical_subgraphs():
