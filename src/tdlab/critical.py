@@ -88,6 +88,12 @@ def is_critical(g: Graph, config: SolverConfig | None = None) -> CriticalityRepo
     )
 
 
+def _check_two_vertices(g: Graph) -> None:
+    # Both 1-uniqueness tests and the report share this domain.
+    if g.n < 2:
+        raise ValueError("1-uniqueness tests need at least 2 vertices")
+
+
 def one_unique_starclique(
     g: Graph, v: int, config: SolverConfig | None = None
 ) -> Ranking | None:
@@ -101,8 +107,7 @@ def one_unique_starclique(
     v's former neighbourhood; either way the higher internal label survives
     the shift. That lifted ranking is returned.
     """
-    if g.n < 2:
-        raise ValueError("1-uniqueness tests need at least 2 vertices")
+    _check_two_vertices(g)
     g._check_vertex(v)
     base = treedepth(g, config).value
     cert = treedepth(derive(g, v), config)
@@ -122,6 +127,7 @@ def one_unique_direct(
     Searches all labelings with td(G) colors where v has label 1 and every
     other vertex a label in {2..td(G)}; returns the first valid one or None.
     """
+    _check_two_vertices(g)
     if g.n > BRUTE_FORCE_MAX_VERTICES:
         raise ValueError(
             f"one_unique_direct supports at most {BRUTE_FORCE_MAX_VERTICES} vertices"
@@ -163,8 +169,7 @@ def uniqueness_report(
     is an internal error. The witness of a 1-unique vertex is the transform
     method's lifted optimal ranking.
     """
-    if g.n < 2:
-        raise ValueError("1-uniqueness tests need at least 2 vertices")
+    _check_two_vertices(g)
     treedepth(g, config)  # a budget stop on g itself ends the whole report
     direct_in_range = g.n <= BRUTE_FORCE_MAX_VERTICES
 

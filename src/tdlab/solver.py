@@ -284,7 +284,9 @@ class _Search:
         Otherwise the result is a proven lower bound L with ub <= L <= td,
         which is kept in `lower`. Each branch asks its components only
         whether they beat the current cap (the incumbent, or `ub` if lower),
-        so most subproblems are never solved exactly.
+        so most subproblems are never solved exactly. Whatever a branch
+        learns bounds td(mask - v) from below, and so td(mask) too: once
+        such a bound reaches the cap, the remaining branches are skipped.
         """
         memo = self.memo
         val = memo.get(mask)
@@ -314,7 +316,8 @@ class _Search:
         cap = min(height, ub)
         order = _branch_order(adj, mask)
         lb = max(_greedy_clique(adj, order), _ceil_log2(height + 1), known)
-        # floor: the least lower bound proven for a branch that did not beat cap.
+        # floor: the least lower bound proven for a branch that did not beat
+        # cap, or lb if the loop was cut before every branch had run.
         floor = _NO_BOUND
         if lb < cap:
             for v in order:
@@ -343,10 +346,15 @@ class _Search:
                                     break
                 if 1 + worst < cap:
                     best = cap = 1 + worst
-                    if best <= lb:
-                        break
                 elif 1 + worst < floor:
                     floor = 1 + worst
+                # Tree-depth is monotone on subgraphs: td(mask) >= td(rest) >=
+                # worst. Once lb reaches cap no later branch can beat it.
+                if worst > lb:
+                    lb = worst
+                if lb >= cap:
+                    floor = lb
+                    break
         else:
             floor = lb
         # Below ub the cap was always the incumbent, so no branch beats best.

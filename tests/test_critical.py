@@ -61,7 +61,7 @@ def test_is_critical_budget_marks_inconclusive():
     # largest minor still has to search leaves some minors unsolved.
     g = hn(5)[0]
     treedepth(g)
-    report = is_critical(g, SolverConfig(node_budget=40))
+    report = is_critical(g, SolverConfig(node_budget=20))
     assert report.is_critical is None
     assert report.inconclusive_steps
     assert not report.failing_steps
@@ -158,6 +158,12 @@ def test_one_unique_direct_triangle():
 def test_one_unique_direct_size_cap():
     with pytest.raises(ValueError):
         one_unique_direct(hn(5)[0], 0)  # 9 vertices
+
+
+def test_both_one_uniqueness_methods_reject_a_single_vertex():
+    for method in (one_unique_direct, one_unique_starclique):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            method(complete(1), 0)
 
 
 # -- uniqueness_report ------------------------------------------------------------------

@@ -4,11 +4,12 @@ import hashlib
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from tdlab import solver
-from tdlab.formats import format_graph6
+from tdlab.formats import format_graph6, parse_graph6
 from tdlab.graphs import (
     Graph,
     MinorStep,
@@ -210,6 +211,35 @@ def test_witnesses_of_all_small_graphs_are_pinned():
             labels = " ".join(map(str, cert.witness.labels))
             digest.update(f"{format_graph6(g)} {cert.value} {labels}\n".encode())
     assert digest.hexdigest() == SMALL6_WITNESS_SHA256
+
+
+PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+# sha256 over "name td labels" lines of hn9, kak2_8 and the G(16, 0.3) pool
+# members named gnp16_<seed>, as computed before the branch loop's
+# subset-monotone cut.
+SOLVE_HARD_WITNESS_SHA256 = "534730ad54146597a3ffca7a73fe086a254588bf537409625f90100c3331f248"
+
+
+def test_solve_hard_witnesses_are_pinned():
+    graphs = [(name, (PERFBENCH_INPUTS / f"{name}.g6").read_text()) for name in ("hn9", "kak2_8")]
+    for line in (PERFBENCH_INPUTS / "gnp16.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            seed, g6 = line.split()[:2]
+            graphs.append((f"gnp16_{seed}", g6))
+    assert len(graphs) == 10
+    digest = hashlib.sha256()
+    for name, text in graphs:
+        cert = treedepth(parse_graph6(text.strip()))
+        labels = " ".join(map(str, cert.witness.labels))
+        digest.update(f"{name} {cert.value} {labels}\n".encode())
+    assert digest.hexdigest() == SOLVE_HARD_WITNESS_SHA256
+
+
+def test_monotone_cut_shrinks_hn_search():
+    # td(mask) >= td(mask - v) ends the branch loop once one removal's bound
+    # reaches the cap; without that cut this search expands 5,953 nodes.
+    assert treedepth(hn(8)[0]).stats.nodes < 5953
 
 
 # -- parent memo reuse --------------------------------------------------------
