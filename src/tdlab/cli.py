@@ -130,7 +130,8 @@ def _solver_options() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
         "--node-budget", type=_count,
-        help="abort with bounds after this many expanded nodes",
+        help="abort with bounds after this many expanded nodes "
+        "(cliques and subgraphs of at most 2 vertices are not nodes)",
     )
     p.add_argument(
         "--time-budget", type=_seconds,

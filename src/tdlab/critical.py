@@ -248,9 +248,8 @@ def family_witnesses_ok(n: int) -> bool:
         return False
     if top.colors != n + 1 or top.max_label != n + 1:
         return False
-    steps = [MinorStep.del_edge(u, v) for u, v in g.edges()]
-    steps.extend(MinorStep.contract(u, v) for u, v in g.edges())
-    steps.extend(MinorStep.del_vertex(v) for v in range(g.n))
+    # hn(n) has no isolated vertex, so every vertex deletion is added here
+    steps = one_step_minor_steps(g) + [MinorStep.del_vertex(v) for v in range(g.n)]
     for step in steps:
         minor, coloring = hn_minor_witness(n, step)
         if verify_ranking(minor, coloring) is not None:

@@ -82,33 +82,6 @@ def _check_ranking_shape(g: Graph, r: Ranking) -> None:
         )
 
 
-def labeling_violation(
-    adj: tuple[int, ...], labels: tuple[int, ...] | list[int]
-) -> tuple[int, int, int, tuple[int, ...]] | None:
-    """Component-criterion check on raw adjacency rows.
-
-    Returns None when feasible, else (label, x, y, path) for the smallest
-    offending label: x is the lowest offending vertex of the first offending
-    component (components ordered by lowest vertex) and `path` a shortest
-    connecting path inside the <=label subgraph. Deterministic.
-    """
-    by_label: dict[int, int] = {}
-    for v, lab in enumerate(labels):
-        by_label[lab] = by_label.get(lab, 0) | (1 << v)
-    cum = 0
-    for lab in sorted(by_label):
-        lab_mask = by_label[lab]
-        cum |= lab_mask
-        for comp in component_masks(adj, cum):
-            same = comp & lab_mask
-            if same.bit_count() < 2:
-                continue
-            x = (same & -same).bit_length() - 1
-            path = _shortest_path_to_label(adj, comp, x, same & ~(1 << x))
-            return lab, x, path[-1], path
-    return None
-
-
 def _shortest_path_to_label(
     adj: tuple[int, ...], sub: int, start: int, targets: int
 ) -> tuple[int, ...]:
@@ -137,13 +110,31 @@ def _shortest_path_to_label(
 
 
 def verify_ranking(g: Graph, r: Ranking) -> Violation | None:
-    """Return None when the ranking is feasible, else a concrete Violation."""
+    """Return None when the ranking is feasible, else a concrete Violation.
+
+    Component criterion: the violation is at the smallest offending label.
+    Its pair starts at the lowest offending vertex x of the first offending
+    component (components ordered by lowest vertex), and its path is a
+    shortest path from x to another vertex of that label inside the
+    <=label subgraph. Deterministic.
+    """
     _check_ranking_shape(g, r)
-    hit = labeling_violation(g.adj, r.labels)
-    if hit is None:
-        return None
-    lab, x, y, path = hit
-    return Violation(label=lab, pair=(x, y), path=path)
+    adj = g.adj
+    by_label: dict[int, int] = {}
+    for v, lab in enumerate(r.labels):
+        by_label[lab] = by_label.get(lab, 0) | (1 << v)
+    cum = 0
+    for lab in sorted(by_label):
+        lab_mask = by_label[lab]
+        cum |= lab_mask
+        for comp in component_masks(adj, cum):
+            same = comp & lab_mask
+            if same.bit_count() < 2:
+                continue
+            x = (same & -same).bit_length() - 1
+            path = _shortest_path_to_label(adj, comp, x, same & ~(1 << x))
+            return Violation(label=lab, pair=(x, path[-1]), path=path)
+    return None
 
 
 def verify_ranking_by_paths(g: Graph, r: Ranking) -> Violation | None:

@@ -17,7 +17,8 @@ The search is bounded: each subproblem is asked only whether its value is
 below a bound, and answers with the exact value or a proven lower bound of
 at least that bound. Exact values go to the memo and lower bounds to a
 second store beside it (connected masks only, too), which later queries
-and the cheap pruning bound read.
+read. A mask of at most 2 vertices or a clique is answered by its size and
+never stored.
 
 The brute-force oracle searches the space of labelings instead of the space
 of elimination orders, which keeps the two routes to a tree-depth value
@@ -63,7 +64,9 @@ class SolverConfig:
     together. The capacity is checked before every write that adds an
     entry, values copied from a parent graph included. Values already
     solved for the same graph in this process cost nothing, so a call whose
-    answer is cached never runs out.
+    answer is cached never runs out. Subproblems on at most 2 vertices and
+    cliques are answered in closed form: they are neither nodes nor store
+    entries, so they spend no budget.
     """
 
     node_budget: int | None = None
@@ -268,21 +271,26 @@ class _Search:
 
     # -- values --------------------------------------------------------------
 
-    def solve_set(self, mask: int, ub: int = _NO_BOUND) -> int:
-        """Tree-depth of the induced subgraph on `mask` if below `ub`, else a
-        lower bound of at least `ub`, from the first component that reaches it."""
+    def solve_set(self, comps: list[int], ub: int = _NO_BOUND) -> int:
+        """Tree-depth of the union of the components `comps` if below `ub`, else
+        a lower bound of at least `ub`, from the first component that reaches it."""
         worst = 0
-        for c in component_masks(self.adj, mask):
-            worst = max(worst, self.solve_conn(c, ub))
-            if worst >= ub:
-                break
+        for c in comps:
+            val = self.solve_conn(c, ub)
+            if val > worst:
+                worst = val
+                if worst >= ub:
+                    break
         return worst
 
     def solve_conn(self, mask: int, ub: int = _NO_BOUND) -> int:
         """Tree-depth of the connected induced subgraph on `mask`, if it is below `ub`.
 
         Otherwise the result is a proven lower bound L with ub <= L <= td,
-        which is kept in `lower`. Each branch asks its components only
+        which is kept in `lower`. A mask of at most 2 vertices or a clique is
+        answered by its size, before it counts as a node and without a store
+        entry. Every other mask has td >= 2, its first lower bound. Each
+        branch asks the components of its rest, through `solve_set`, only
         whether they beat the current cap (the incumbent, or `ub` if lower),
         so most subproblems are never solved exactly. Whatever a branch
         learns bounds td(mask - v) from below, and so td(mask) too: once
@@ -292,7 +300,11 @@ class _Search:
         val = memo.get(mask)
         if val is not None:
             return val
-        known = self.lower.get(mask, 0)
+        adj = self.adj
+        cnt = mask.bit_count()
+        if cnt <= 2 or _is_clique(adj, mask):
+            return cnt
+        known = self.lower.get(mask, 2)
         if self.parent is not None:
             up, lift = self.parent
             p = lift(mask)
@@ -305,11 +317,6 @@ class _Search:
         if known >= ub:
             return known
         self._tick()
-        adj = self.adj
-        cnt = mask.bit_count()
-        if cnt <= 2 or _is_clique(adj, mask):
-            self._store(memo, mask, cnt)
-            return cnt
         root = (mask & -mask).bit_length() - 1
         height = _dfs_height(adj, mask, root)
         best = height
@@ -326,24 +333,7 @@ class _Search:
                 # the whole rest and needs no split.
                 worst = memo.get(rest)
                 if worst is None:
-                    comps = _split(adj, rest, adj[v] & rest)
-                    if len(comps) == 1:
-                        # One component, known to be missing from the memo.
-                        worst = self._cheap_lb(rest)
-                        if 1 + worst < cap:
-                            worst = self.solve_conn(rest, cap - 1)
-                    else:
-                        worst = 0
-                        for c in comps:
-                            val = memo.get(c)
-                            worst = max(worst, val if val is not None else self._cheap_lb(c))
-                        if 1 + worst < cap:
-                            worst = 0
-                            comps.sort(key=int.bit_count, reverse=True)
-                            for c in comps:
-                                worst = max(worst, self.solve_conn(c, cap - 1))
-                                if 1 + worst >= cap:
-                                    break
+                    worst = self.solve_set(_split(adj, rest, adj[v] & rest), cap - 1)
                 if 1 + worst < cap:
                     best = cap = 1 + worst
                 elif 1 + worst < floor:
@@ -365,19 +355,7 @@ class _Search:
         self._store(self.lower, mask, floor)
         return floor
 
-    def _cheap_lb(self, comp: int) -> int:
-        cnt = comp.bit_count()
-        if cnt <= 2 or _is_clique(self.adj, comp):
-            return cnt
-        return self.lower.get(comp, 2)
-
     # -- witness ---------------------------------------------------------------
-
-    def witness_assignment(self, mask: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for comp in component_masks(self.adj, mask):
-            self._witness_conn(comp, out)
-        return out
 
     def _witness_conn(self, mask: int, out: dict[int, int]) -> None:
         # Second pass: pick the first branch vertex (in branch order) whose
@@ -385,9 +363,6 @@ class _Search:
         # attains it, give it the top rank of this subproblem, and recurse
         # into the remaining components.
         adj = self.adj
-        if mask.bit_count() == 1:
-            out[mask.bit_length() - 1] = 1
-            return
         target = self.solve_conn(mask)
         for v in _branch_order(adj, mask):
             rest = mask ^ (1 << v)
@@ -400,10 +375,12 @@ class _Search:
         raise AssertionError("no removal attains the memoized optimum")
 
     def certificate(self) -> TdCertificate:
-        full = (1 << self.n) - 1
-        value = self.solve_set(full)
-        assignment = self.witness_assignment(full)
-        labels = tuple(assignment[v] for v in range(self.n))
+        comps = component_masks(self.adj, (1 << self.n) - 1)
+        value = self.solve_set(comps)
+        out: dict[int, int] = {}
+        for c in comps:
+            self._witness_conn(c, out)
+        labels = tuple(out[v] for v in range(self.n))
         return TdCertificate(value, Ranking(labels, value), self.stats())
 
 
@@ -533,7 +510,7 @@ def treedepth_le(g: Graph, k: int, config: SolverConfig | None = None) -> bool:
         return False
     search = _Search(g, config or DEFAULT_CONFIG, _solved_for(g))
     try:
-        return search.solve_set(g.full_mask(), k + 1) <= k
+        return search.solve_set(component_masks(g.adj, g.full_mask()), k + 1) <= k
     except _BudgetHit as hit:
         raise BudgetExceededError(str(hit), quick, search.stats()) from None
 

@@ -217,8 +217,10 @@ def test_uniqueness_report_skips_direct_above_cap():
 
 def test_uniqueness_report_budget_inconclusive():
     g = Graph(6, [(0, 2), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3)])
-    # Enough to solve g, too little to settle vertex 0's transform.
-    report = uniqueness_report(g, SolverConfig(node_budget=6))
+    # Enough to solve g, too little to settle vertex 0's transform. Cliques
+    # and masks of at most 2 vertices are not nodes, so a budget of 3 is
+    # already enough for g.
+    report = uniqueness_report(g, SolverConfig(node_budget=3))
     assert report.graph_one_unique is None
     flagged = [u for u in report.per_vertex if u.one_unique is None]
     assert flagged and flagged[0].vertex == 0

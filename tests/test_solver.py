@@ -242,6 +242,27 @@ def test_monotone_cut_shrinks_hn_search():
     assert treedepth(hn(8)[0]).stats.nodes < 5953
 
 
+def test_cliques_are_answered_in_closed_form():
+    # td(K_k) = k is read off at the top of solve_conn: no node is expanded
+    # and neither store gets an entry, whatever the bound asked.
+    for k in range(1, 7):
+        g = complete(k)
+        solver._search_cache.pop(g, None)
+        cert = treedepth(g)
+        assert cert.value == k
+        assert cert.stats.nodes == 0 and cert.stats.memo_entries == 0
+        assert cert.witness.labels == tuple(range(k, 0, -1))
+    # a triangle inside a larger graph, and every clique of K_6
+    triangle_plus = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    cases = [(triangle_plus, 0b0111)] + [(complete(6), m) for m in range(1, 1 << 6)]
+    for g, mask in cases:
+        for ub in range(1, mask.bit_count() + 2):
+            search = _Search(g, DEFAULT_CONFIG, _Solved())
+            assert search.solve_conn(mask, ub) == mask.bit_count()
+            assert search.nodes == 0
+            assert not search.memo and not search.lower
+
+
 # -- parent memo reuse --------------------------------------------------------
 
 def derived_graphs(g):
@@ -531,7 +552,7 @@ def test_budget_stops_resume_on_exact_memo():
     # values behind, and a later call resumes from them.
     g = hn(6)[0]
     want = fresh_cert(g)
-    for budget in (1, 5, 20, 80, 300):
+    for budget in (1, 5, 20, 80, 150):
         with pytest.raises(BudgetExceededError):
             treedepth(g, SolverConfig(node_budget=budget))
     assert_memo_exact(g)
