@@ -4,16 +4,22 @@ A graph is critical when every proper minor has strictly smaller tree-depth.
 Only edge deletions, edge contractions, and deletions of isolated vertices
 are enumerated: deleting a non-isolated vertex factors through deleting an
 incident edge first, so its tree-depth is dominated by that of the edge
-deletion and never needs its own solver call.
+deletion and never needs its own solver call. The report prints each
+minor's tree-depth, so each minor is solved exactly. It is built by
+`derive`, so its search reads G's stores, and a minor that changes an edge
+is bounded from below by G's stored value minus 1.
 
 A vertex v is 1-unique when some optimal ranking gives v the only label 1.
 Two independent tests are provided. The transform method compares td(G)
 against the graph obtained by deleting v and completing its neighbourhood
 into a clique; v is 1-unique exactly when that transform lowers the
-tree-depth. The direct method searches for an optimal ranking with v pinned
-to label 1 and everything else above 1. Each returns an optimal ranking with
-v alone at label 1, or None. The report runs both whenever the direct method
-is in range and insists they agree.
+tree-depth. The report prints only the verdict, so the transform method
+asks the decision form whether td(transform) <= td(G) - 1, and builds the
+transform's certificate only for a 1-unique vertex, to lift its ranking
+into the witness. The direct method searches for an optimal ranking with v
+pinned to label 1 and everything else above 1. Each returns an optimal
+ranking with v alone at label 1, or None. The report runs both whenever the
+direct method is in range and insists they agree.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .solver import (
     derive,
     search_feasible_labeling,
     treedepth,
+    treedepth_le,
 )
 
 
@@ -99,7 +106,9 @@ def one_unique_starclique(
 ) -> Ranking | None:
     """Transform test: delete v, complete its neighbourhood, compare tree-depths.
 
-    Returns None when the transform is not shallower than g. Otherwise v is
+    The verdict comes from the decision form `treedepth_le(transform,
+    td(g) - 1)`. When the transform is not shallower than g, the result is
+    None and no certificate of the transform is built. Otherwise v is
     1-unique, and the transform's optimal ranking, with every label shifted
     up by one and v placed alone at label 1, is an optimal ranking of g: a
     path of g between equal labels either avoids v and is a path of the
@@ -110,9 +119,10 @@ def one_unique_starclique(
     _check_two_vertices(g)
     g._check_vertex(v)
     base = treedepth(g, config).value
-    cert = treedepth(derive(g, v), config)
-    if cert.value >= base:
+    h = derive(g, v)
+    if not treedepth_le(h, base - 1, config):
         return None
+    cert = treedepth(h, config)
     labels = [1] * g.n  # v keeps 1; every other vertex is overwritten below
     for i, lab in enumerate(cert.witness.labels):
         labels[i if i < v else i + 1] = lab + 1

@@ -20,6 +20,17 @@ second store beside it (connected masks only, too), which later queries
 read. A mask of at most 2 vertices or a clique is answered by its size and
 never stored.
 
+A graph h built by `derive`, a one-step minor or star-clique transform of a
+parent g, also reads g's stores. A connected subproblem h[S] is either
+identical to a subproblem g[P], whose value or bound it then shares, or it
+is the same step applied inside a subproblem g[P']. In that case
+td(h[S]) >= td(g[P']) - 1, by one argument for every step. The step deletes
+a vertex x of P', or an edge at x, and otherwise only adds edges: x is an
+end of a deleted edge, the dropped end of a contracted edge, or the centre
+of a transform. So h[S] contains g[P'] - x as a subgraph. Tree-depth is
+monotone on subgraphs, and td(G) <= td(G - x) + 1 for every vertex x, by
+putting x above an elimination forest of G - x.
+
 The brute-force oracle searches the space of labelings instead of the space
 of elimination orders, which keeps the two routes to a tree-depth value
 independent of each other.
@@ -222,10 +233,13 @@ class _Search:
     subproblems that were only asked whether they beat a bound. Every entry
     is valid whatever the caller's incumbent, so a call stopped by its budget
     leaves only exact values and valid bounds. A graph built by `derive`
-    also reads both stores of its parent (`_Solved.parent`) wherever the two
-    induced subgraphs are identical (see `_inherit`). That read happens in
-    one place, at the top of `solve_conn`, before the subproblem counts as
-    a node; an exact value read there is copied into the memo.
+    also reads both stores of its parent (`_Solved.parent`), through the
+    lift of `_inherit`. Where the two induced subgraphs are identical, an
+    exact value read there is copied into the memo and a lower bound raises
+    the subproblem's own. Where they are one step apart, the parent's value,
+    or else its lower bound, minus 1 raises it. Both reads happen in one
+    place, at the top of `solve_conn`, before the subproblem counts as a
+    node, and only an exact value is written.
     """
 
     __slots__ = (
@@ -308,12 +322,16 @@ class _Search:
         if self.parent is not None:
             up, lift = self.parent
             p = lift(mask)
-            if p is not None:
+            if p >= 0:
                 val = up.memo.get(p)
                 if val is not None:
                     self._store(memo, mask, val)
                     return val
                 known = max(known, up.lower.get(p, 0))
+            else:
+                # mask is one step from the parent's ~p: td drops by at most 1
+                p = ~p
+                known = max(known, (up.memo.get(p) or up.lower.get(p, 0)) - 1)
         if known >= ub:
             return known
         self._tick()
@@ -391,16 +409,18 @@ class _Solved:
     `memo` maps a connected mask to its exact tree-depth. `lower` maps a
     connected mask to a proven lower bound of its tree-depth; an entry is
     only ever raised, and may stay after the mask's exact value is found.
-    `cert` is the finished certificate. `parent` is set by `derive`: the
-    parent graph's own entry, and the lift of `_inherit` from this graph's
-    masks to the parent's. Holding the entry keeps the parent's stores
-    readable after the parent has left the search cache.
+    `cert` is the finished certificate, built only by `treedepth`.
+    `parent` is set by `derive`: the parent graph's own entry, and the lift
+    of `_inherit`, which maps each mask of this graph to the parent mask of
+    the identical subgraph, or of the subgraph one step away. Holding the
+    entry keeps the parent's stores readable after the parent has left the
+    search cache.
     """
 
     memo: dict[int, int] = field(default_factory=dict)
     lower: dict[int, int] = field(default_factory=dict)
     cert: TdCertificate | None = None
-    parent: tuple[_Solved, Callable[[int], int | None]] | None = None
+    parent: tuple[_Solved, Callable[[int], int]] | None = None
 
 
 # Every call, budgeted or not, reads and writes its graph's entry; budgets and
@@ -434,7 +454,12 @@ def derive(g: Graph, step: MinorStep | int) -> Graph:
     g's cache entry in the result's `parent`. Later `treedepth` and
     `treedepth_le` calls on the returned graph read each subproblem that is
     identical in g from g's memo and lower bounds instead of searching it.
-    Both are valid for the identical subgraph, so the value and the witness
+    A subproblem one step from one of g's gets g's value there, or else its
+    lower bound, minus 1 as a lower bound (see the module docstring). When
+    the step changes an edge of a connected h, h's full mask is such a
+    subproblem, so td(g) - 1 bounds h from its first node on, and no store
+    entry is written here.
+    Every value read is exact or a valid bound, so the value and the witness
     are those of a search from empty stores.
     """
     if isinstance(step, MinorStep):
@@ -447,14 +472,18 @@ def derive(g: Graph, step: MinorStep | int) -> Graph:
     return h
 
 
-def _inherit(g: Graph, h: Graph, drop: int | None) -> Callable[[int], int | None]:
-    """The lift of a mask of h to the mask of the identical subgraph of g.
+def _inherit(g: Graph, h: Graph, drop: int | None) -> Callable[[int], int]:
+    """The lift of a mask of h to the mask of g that its search reads.
 
     h is g with at most one vertex `drop` removed (higher vertices shift
     down) and some edges changed. A mask S of h maps to the mask P of g that
     has a 0 bit put back at `drop`. g[P] is h[S] exactly when no changed
-    edge has both ends in S; the lift returns P then, and None otherwise.
+    edge has both ends in S; the lift returns P >= 0 then. Otherwise h[S] is
+    the step applied to g[P'], where P' is P with the bit of `drop` set, if a
+    vertex was dropped, so td(h[S]) >= td(g[P']) - 1; the lift returns the
+    negative ~P'.
     """
+    dropped = 0 if drop is None else 1 << drop
     if drop is None:
         drop = g.n  # past every vertex: no bit is put back
     rows = [_drop_bit(g.adj[u], drop) for u in range(g.n) if u != drop]
@@ -463,14 +492,15 @@ def _inherit(g: Graph, h: Graph, drop: int | None) -> Callable[[int], int | None
     touched = sum(1 << i for i, c in enumerate(changed) if c)
     low = (1 << drop) - 1
 
-    def lift(s: int) -> int | None:
+    def lift(s: int) -> int:
+        p = (s & low) | (s >> drop << (drop + 1))
         m = s & touched
         while m:
             b = m & -m
             if changed[b.bit_length() - 1] & s:
-                return None
+                return ~(p | dropped)
             m ^= b
-        return (s & low) | (s >> drop << (drop + 1))
+        return p
 
     return lift
 

@@ -45,17 +45,17 @@ def test_criterion_01_hn_treedepth():
 
 def test_criterion_02_hn_criticality():
     t0 = time.monotonic()
-    verdicts = {n: is_critical(hn(n)[0]).is_critical for n in range(4, 8)}
+    verdicts = {n: is_critical(hn(n)[0]).is_critical for n in range(4, 10)}
     elapsed = time.monotonic() - t0
-    ok = all(verdicts[n] is True for n in range(4, 8))
-    _report(2, ok, f"is_critical(hn(n)) for n=4..7, got {verdicts} ({elapsed:.1f}s)")
+    ok = all(verdicts[n] is True for n in range(4, 10))
+    _report(2, ok, f"is_critical(hn(n)) for n=4..9, got {verdicts} ({elapsed:.1f}s)")
 
 
 def test_criterion_03_hn_uniqueness():
     t0 = time.monotonic()
     ok = True
     details = []
-    for n in range(4, 8):
+    for n in range(4, 10):
         g, layout = hn(n)
         report = uniqueness_report(g)
         flagged = report.non_one_unique

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tdlab import solver
 from tdlab.critical import (
     family_witnesses_ok,
     is_critical,
@@ -10,7 +11,7 @@ from tdlab.critical import (
     reproduce,
     uniqueness_report,
 )
-from tdlab.graphs import Graph, complete, cycle, hn, path
+from tdlab.graphs import Graph, complete, cycle, hn, path, star_clique
 from tdlab.ranking import verify_ranking
 from tdlab.solver import SolverConfig, treedepth
 
@@ -129,6 +130,18 @@ def test_hn_hub_is_the_only_non_unique_vertex():
             assert_one_unique_witness(g, v, one_unique_starclique(g, v))
 
 
+def test_transform_certificate_is_built_only_when_printed():
+    # The transform test asks only whether td drops, so a vertex that is not
+    # 1-unique leaves its transform without a certificate. reproduce prints
+    # the hub transform's td, so it builds that certificate.
+    g, layout = hn(7)
+    assert one_unique_starclique(g, layout.hub) is None
+    assert solver._search_cache[star_clique(g, layout.hub)].cert is None
+    reproduce(8)
+    g, layout = hn(8)
+    assert solver._search_cache[star_clique(g, layout.hub)].cert is not None
+
+
 def test_cliques_are_one_unique_everywhere():
     for m in (2, 3, 4, 5):
         g = complete(m)
@@ -216,14 +229,16 @@ def test_uniqueness_report_skips_direct_above_cap():
 
 
 def test_uniqueness_report_budget_inconclusive():
-    g = Graph(6, [(0, 2), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3)])
-    # Enough to solve g, too little to settle vertex 0's transform. Cliques
-    # and masks of at most 2 vertices are not nodes, so a budget of 3 is
-    # already enough for g.
+    g = Graph(7, [(0, 1), (0, 2), (0, 4), (0, 6), (1, 2), (1, 6), (2, 6), (3, 5),
+                  (4, 5), (4, 6), (5, 6)])
+    # td(g) = 4. Enough to solve g, too little to decide whether the
+    # transforms at vertices 1 and 2 have td <= 3: their bounds are [3, 5], so
+    # the decision needs a search. Every other transform is settled by its
+    # bounds alone. Cliques and masks of at most 2 vertices are not nodes.
     report = uniqueness_report(g, SolverConfig(node_budget=3))
     assert report.graph_one_unique is None
     flagged = [u for u in report.per_vertex if u.one_unique is None]
-    assert flagged and flagged[0].vertex == 0
+    assert flagged and flagged[0].vertex == 1
 
 
 def test_uniqueness_report_rejects_single_vertex():

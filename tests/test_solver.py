@@ -45,6 +45,7 @@ from tdlab.solver import (
     treedepth,
     treedepth_le,
 )
+from test_ranking import induced_subgraph
 
 
 def fresh_cert(g):
@@ -318,16 +319,20 @@ def test_minor_step_dropped_is_the_vertex_apply_minor_step_removes():
 
 def test_inherit_accepts_exactly_the_identical_subgraphs():
     # The lookup maps a mask S of the derived graph to the parent mask whose
-    # stores the search reads. It must do so exactly when each vertex's row
-    # inside S equals its parent's row inside the parent mask. Every labeled
-    # graph on 2-5 vertices, isolated vertices included, and every 16th
-    # connected labeled graph on 6 vertices.
+    # stores the search reads. When each vertex's row inside S equals its
+    # parent's row inside the parent mask, that is the mask P of the identical
+    # subgraph. Otherwise it is ~P', where P' is P plus the dropped vertex, if
+    # any: the parent subproblem that h[S] is one step away from. Every
+    # labeled graph on 2-5 vertices, isolated vertices included, and every
+    # 16th connected labeled graph on 6 vertices.
     graphs = [g for n in range(2, 6) for g in iter_labeled_graphs(n, connected_only=False)]
     graphs += list(iter_labeled_graphs(6))[::16]
     for g in graphs:
         for step, h in derived_graphs(g):
             up = parent_indices(step, h.n)
-            lookup = _inherit(g, h, dropped_vertex(step))
+            dropped = dropped_vertex(step)
+            drop_bit = 0 if dropped is None else 1 << dropped
+            lookup = _inherit(g, h, dropped)
             # differ[i]: vertices whose adjacency to i is not the parent's
             differ = [
                 h.adj[i] ^ sum(1 << j for j in range(h.n) if g.adj[up[i]] >> up[j] & 1)
@@ -340,7 +345,43 @@ def test_inherit_accepts_exactly_the_identical_subgraphs():
                 i = low.bit_length() - 1
                 same[s] = same[s ^ low] and not differ[i] & s
                 lifted[s] = lifted[s ^ low] | 1 << up[i]
-                assert lookup(s) == (lifted[s] if same[s] else None), (g, step, bin(s))
+                want = lifted[s] if same[s] else ~(lifted[s] | drop_bit)
+                assert lookup(s) == want, (g, step, bin(s))
+
+
+def test_one_step_facts_against_the_oracle():
+    # The parent bound of the search rests on three facts, checked here with
+    # brute_force_td and not with the solver: every one-step minor has td in
+    # {td - 1, td}; every star-clique transform has td >= td - 1; and every
+    # connected mask S of a derived graph whose lift is negative has
+    # td(h[S]) >= td(g[P']) - 1, where P' = ~lift(S) is a connected mask of
+    # g. Every connected labeled graph on 2-5 vertices, and every 16th
+    # connected labeled graph on 6 vertices.
+    oracle = {}
+
+    def td(g, mask=None):
+        if mask is not None:
+            g = induced_subgraph(g, list(bit_indices(mask)))
+        if g not in oracle:
+            oracle[g] = brute_force_td(g)
+        return oracle[g]
+
+    graphs = [g for n in range(2, 6) for g in iter_labeled_graphs(n)]
+    graphs += list(iter_labeled_graphs(6))[::16]
+    for g in graphs:
+        base = td(g)
+        for step, h in derived_graphs(g):
+            if isinstance(step, MinorStep):
+                assert td(h) in (base - 1, base), (g, step)
+            else:
+                assert td(h) >= base - 1, (g, step)
+            lift = _inherit(g, h, dropped_vertex(step))
+            for s in range(1, 1 << h.n):
+                p = lift(s)
+                if p >= 0 or component_masks(h.adj, s) != [s]:
+                    continue
+                assert component_masks(g.adj, ~p) == [~p], (g, step, bin(s))
+                assert td(h, s) >= td(g, ~p) - 1, (g, step, bin(s))
 
 
 def test_inherited_solves_match_fresh_solves():
