@@ -209,6 +209,7 @@ def cmd_td(args: argparse.Namespace) -> int:
                 "stats": {
                     "nodes": cert.stats.nodes,
                     "memo_entries": cert.stats.memo_entries,
+                    "symmetry_skips": cert.stats.symmetry_skips,
                 },
             }
         )

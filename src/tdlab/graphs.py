@@ -451,3 +451,128 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return extend(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms
+# ---------------------------------------------------------------------------
+
+def _refine(nbrs: list[list[int]], colours: list[int]) -> tuple[list[int], list]:
+    """Colour refinement to a stable colouring, numbered without naming a vertex.
+
+    Each round gives every vertex the signature (its colour, the sorted
+    colours of its neighbours) and renumbers the signatures in sorted order,
+    so relabelling the graph relabels the result the same way. The old colour
+    leads the signature, so cells only split, in place; the rounds stop when
+    none does. Returns the colours and the sorted signatures of the last
+    round, which two colourings related by an automorphism share.
+    """
+    cells = len(set(colours))
+    while True:
+        sigs = [(colours[v], tuple(sorted([colours[u] for u in nb]))) for v, nb in enumerate(nbrs)]
+        keys = sorted(set(sigs))
+        rank = {key: i for i, key in enumerate(keys)}
+        colours = [rank[s] for s in sigs]
+        if len(keys) == cells:
+            return colours, sorted(sigs)
+        cells = len(keys)
+
+
+def _individualise(colours: list[int], v: int) -> list[int]:
+    # v alone at the front of its cell, every cell keeping its place
+    return [2 * c + (u != v) for u, c in enumerate(colours)]
+
+
+def _is_automorphism(adj: tuple[int, ...], perm: tuple[int, ...]) -> bool:
+    """Whether `perm` (perm[v] is the image of v) is a bijection that preserves adjacency."""
+    if len(perm) != len(adj) or len(set(perm)) != len(adj):
+        return False
+    for u, row in enumerate(adj):
+        image = 0
+        for x in bit_indices(row):
+            image |= 1 << perm[x]
+        if adj[perm[u]] != image:
+            return False
+    return True
+
+
+def _orbit(gens: list[tuple[int, ...]], v: int) -> int:
+    """The orbit of v under the group generated by `gens`, as a mask."""
+    orbit = 1 << v
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        for perm in gens:
+            w = perm[u]
+            if not orbit >> w & 1:
+                orbit |= 1 << w
+                todo.append(w)
+    return orbit
+
+
+def _extend(adj, nbrs, left, right) -> tuple[int, ...] | None:
+    """An automorphism that maps the refined colouring `left` onto `right`, or None.
+
+    Both are (colours, signatures) pairs from `_refine`. The first cell with
+    more than one vertex is split at its first vertex on the left, and at
+    every vertex of the same cell in turn on the right. A discrete pair
+    gives the one map that sends each colour's vertex to the same colour's,
+    kept only if it preserves adjacency.
+    """
+    lc, lsigs = left
+    rc, rsigs = right
+    if lsigs != rsigs:
+        return None
+    sizes = [0] * len(lc)
+    for c in lc:
+        sizes[c] += 1
+    target = next((c for c, k in enumerate(sizes) if k > 1), None)
+    if target is None:
+        where = [0] * len(rc)
+        for u, c in enumerate(rc):
+            where[c] = u
+        perm = tuple(where[c] for c in lc)
+        return perm if _is_automorphism(adj, perm) else None
+    down = _refine(nbrs, _individualise(lc, lc.index(target)))
+    for w, c in enumerate(rc):
+        if c == target:
+            perm = _extend(adj, nbrs, down, _refine(nbrs, _individualise(rc, w)))
+            if perm is not None:
+                return perm
+    return None
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of g; each maps v to perm[v].
+
+    Individualisation and refinement along the base 0, 1, 2, ...: level i
+    is the group of automorphisms that fix 0..i-1, and the image of i under
+    it lies in i's cell of the refined colouring with 0..i-1 individualised.
+    The levels run deepest first, so when level i starts, the generators
+    found so far generate the whole group fixing 0..i. An automorphism
+    mapping i to w is searched for only when w is outside the orbits of i,
+    and of every image already refused, under them. So each level adds a
+    generator only where the orbit of i grows, and the list is a strong
+    generating set: together the generators generate the whole group. An
+    asymmetric graph whose refined colouring is already discrete gets an
+    empty list after one refinement.
+    """
+    nbrs = [list(bit_indices(row)) for row in g.adj]
+    levels = []
+    colours = _refine(nbrs, [0] * g.n)[0]
+    while len(set(colours)) < g.n:
+        levels.append(colours)
+        colours = _refine(nbrs, _individualise(colours, len(levels) - 1))[0]
+    gens: list[tuple[int, ...]] = []
+    for i in reversed(range(len(levels))):
+        colours = levels[i]
+        left = _refine(nbrs, _individualise(colours, i))
+        tried = _orbit(gens, i)
+        for w, c in enumerate(colours):
+            if c != colours[i] or tried >> w & 1:
+                continue
+            perm = _extend(g.adj, nbrs, left, _refine(nbrs, _individualise(colours, w)))
+            if perm is not None:
+                gens.append(perm)
+            tried |= _orbit(gens, w)
+    return gens

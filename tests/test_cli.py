@@ -91,6 +91,17 @@ def test_td_json_document(tmp_path, capsys):
     assert doc["td"] == 8
     assert doc["witness"]["colors"] == 8
     assert len(doc["witness"]["labels"]) == 10
+    # kak2(5) is vertex-transitive: the root alone leaves 9 of its 10 branches out
+    assert set(doc["stats"]) == {"nodes", "memo_entries", "symmetry_skips"}
+    assert doc["stats"]["symmetry_skips"] >= 9
+
+
+def test_td_json_counts_no_skips_without_generators(tmp_path, capsys):
+    # Graphs on at most 8 vertices get no generators, so nothing is skipped.
+    code, out, _ = run(capsys, ["td", write_graph(tmp_path, cartesian_k2(4)), "--json"])
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats["nodes"] > 0 and stats["symmetry_skips"] == 0
 
 
 def test_td_stdin_auto_detect(capsys, monkeypatch):

@@ -62,7 +62,7 @@ def test_is_critical_budget_marks_inconclusive():
     # largest minor still has to search leaves some minors unsolved.
     g = hn(5)[0]
     treedepth(g)
-    report = is_critical(g, SolverConfig(node_budget=20))
+    report = is_critical(g, SolverConfig(node_budget=8))
     assert report.is_critical is None
     assert report.inconclusive_steps
     assert not report.failing_steps
