@@ -24,7 +24,7 @@ direct method is in range and insists they agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -44,14 +44,12 @@ from .solver import (
 )
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     step: MinorStep
     td: int
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(NamedTuple):
     """Per-minor tree-depths of all one-step minors.
 
     is_critical is False as soon as one minor fails to drop, True when all
@@ -148,8 +146,7 @@ def one_unique_direct(
     return None if labels is None else Ranking(labels, k)
 
 
-@dataclass(frozen=True)
-class VertexUniqueness:
+class VertexUniqueness(NamedTuple):
     vertex: int
     one_unique: bool | None
     by_direct: bool | None  # None when skipped (n > 8) or inconclusive
@@ -161,8 +158,7 @@ class VertexUniqueness:
         return self.one_unique
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     per_vertex: tuple[VertexUniqueness, ...]
     non_one_unique: tuple[int, ...]
     graph_one_unique: bool | None
@@ -217,8 +213,7 @@ def uniqueness_report(
 # hn family reproduction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     """One fully-checked member of the hn family.
 
     Expected values: tree-depth n+1; critical; the hub is the only vertex

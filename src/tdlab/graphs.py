@@ -13,9 +13,8 @@ vertices deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 64
 ISO_MAX_VERTICES = 10
@@ -216,8 +215,7 @@ def cartesian_k2(a: int) -> Graph:
     return Graph(2 * a, edges)
 
 
-@dataclass(frozen=True)
-class HnLayout:
+class HnLayout(NamedTuple):
     """Vertex roles in an hn family graph.
 
     hub is adjacent exactly to the middles; middles[i] has degree 2 with
@@ -336,21 +334,28 @@ def star_clique(g: Graph, v: int) -> Graph:
     return Graph.from_adj(tuple(rows))
 
 
-@dataclass(frozen=True, order=True)
-class MinorStep:
-    """A single minor move: delete_edge, contract_edge, or delete_vertex."""
-
+class _MinorStepFields(NamedTuple):
     kind: str
     u: int
     v: int = -1  # unused for delete_vertex
 
+
+class MinorStep(_MinorStepFields):
+    """A single minor move: delete_edge, contract_edge, or delete_vertex.
+
+    Steps sort by (kind, u, v).
+    """
+
+    __slots__ = ()
+
     KINDS = ("delete_edge", "contract_edge", "delete_vertex")
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown minor step kind {self.kind!r}")
-        if self.kind != "delete_vertex" and self.v < 0:
-            raise ValueError(f"{self.kind} needs two vertices")
+    def __new__(cls, kind: str, u: int, v: int = -1) -> "MinorStep":
+        if kind not in cls.KINDS:
+            raise ValueError(f"unknown minor step kind {kind!r}")
+        if kind != "delete_vertex" and v < 0:
+            raise ValueError(f"{kind} needs two vertices")
+        return super().__new__(cls, kind, u, v)
 
     @classmethod
     def del_edge(cls, u: int, v: int) -> "MinorStep":

@@ -21,7 +21,7 @@ and randomized labelings (see verify_ranking_by_paths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -37,22 +37,30 @@ from .graphs import (
 MAX_KAK2 = 32
 
 
-@dataclass(frozen=True)
 class Ranking:
-    """Per-vertex labels drawn from {1..colors}."""
+    """Per-vertex labels drawn from {1..colors}.
 
-    labels: tuple[int, ...]
-    colors: int
+    An immutable value: equal labels and colors compare and hash equal. It
+    is a class, not a tuple, because its length is its vertex count.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if self.colors < 1:
-            raise ValueError(f"colors must be positive, got {self.colors}")
-        for v, lab in enumerate(self.labels):
-            if not 1 <= lab <= self.colors:
-                raise ValueError(
-                    f"label {lab} of vertex {v} outside 1..{self.colors}"
-                )
+    __slots__ = ("labels", "colors")
+
+    def __init__(self, labels, colors: int):
+        labels = tuple(labels)
+        if colors < 1:
+            raise ValueError(f"colors must be positive, got {colors}")
+        for v, lab in enumerate(labels):
+            if not 1 <= lab <= colors:
+                raise ValueError(f"label {lab} of vertex {v} outside 1..{colors}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "colors", colors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def max_label(self) -> int:
@@ -61,9 +69,19 @@ class Ranking:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def __eq__(self, other):
+        if other.__class__ is not Ranking:
+            return NotImplemented
+        return self.labels == other.labels and self.colors == other.colors
 
-@dataclass(frozen=True)
-class Violation:
+    def __hash__(self) -> int:
+        return hash((self.labels, self.colors))
+
+    def __repr__(self) -> str:
+        return f"Ranking(labels={self.labels!r}, colors={self.colors!r})"
+
+
+class Violation(NamedTuple):
     """Witness that a labeling is infeasible.
 
     `path` joins the two vertices of `pair`, both labeled `label`, and no

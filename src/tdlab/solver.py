@@ -63,8 +63,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graphs import (
     Graph,
@@ -85,8 +84,7 @@ from .ranking import Ranking
 BRUTE_FORCE_MAX_VERTICES = 8
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(NamedTuple):
     """Resource limits of one solver call.
 
     Each budget limits the new work of one `treedepth` or `treedepth_le`
@@ -108,8 +106,7 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-@dataclass(frozen=True, slots=True)
-class SolverStats:
+class SolverStats(NamedTuple):
     """What one call did: nodes expanded, store entries of its graph, seconds.
 
     `symmetry_skips` counts the branches left out by the orbit rule (see the
@@ -123,16 +120,14 @@ class SolverStats:
     symmetry_skips: int = 0
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """Certified enclosure: lower <= td(G) <= upper."""
 
     lower: int
     upper: int
 
 
-@dataclass(frozen=True)
-class TdCertificate:
+class TdCertificate(NamedTuple):
     """Exact tree-depth plus a witness ranking that attains it."""
 
     value: int
@@ -499,7 +494,6 @@ class _Search:
         return TdCertificate(value, Ranking(labels, value), self.stats())
 
 
-@dataclass(slots=True)
 class _Solved:
     """What is known of one graph, and the parent it was derived from (see `derive`).
 
@@ -511,14 +505,18 @@ class _Solved:
     of `_inherit`, which maps each mask of this graph to the parent mask of
     the identical subgraph, or of the subgraph one step away. Holding the
     entry keeps the parent's stores readable after the parent has left the
-    search cache.
+    search cache. `gens` are the automorphism generators the search branches
+    by (see `_generators`), None until they are first needed.
     """
 
-    memo: dict[int, int] = field(default_factory=dict)
-    lower: dict[int, int] = field(default_factory=dict)
-    cert: TdCertificate | None = None
-    parent: tuple[_Solved, Callable[[int], int]] | None = None
-    gens: list[tuple[int, ...]] | None = None
+    __slots__ = ("memo", "lower", "cert", "parent", "gens")
+
+    def __init__(self, gens: list[tuple[int, ...]] | None = None):
+        self.memo: dict[int, int] = {}
+        self.lower: dict[int, int] = {}
+        self.cert: TdCertificate | None = None
+        self.parent: tuple[_Solved, Callable[[int], int]] | None = None
+        self.gens = gens
 
 
 # Every call, budgeted or not, reads and writes its graph's entry; budgets and

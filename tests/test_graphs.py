@@ -221,6 +221,12 @@ def test_minor_step_validation():
         MinorStep("delete_edge", 0)
 
 
+def test_minor_steps_sort_by_kind_then_vertices():
+    steps = sorted(one_step_minor_steps(hn(5)[0]))
+    assert steps == sorted(steps, key=lambda s: (s.kind, s.u, s.v))
+    assert steps[0] == MinorStep.contract(0, 5) and steps[-1] == MinorStep.del_edge(4, 8)
+
+
 # -- star-clique transform --------------------------------------------------------
 
 def test_star_clique_edge_set():

@@ -32,6 +32,16 @@ def test_ranking_validates_labels():
         Ranking((1,), 0)
 
 
+def test_ranking_is_an_immutable_value():
+    r = Ranking([1, 2, 1], 2)
+    assert len(r) == 3
+    assert r == Ranking((1, 2, 1), 2) and hash(r) == hash(Ranking((1, 2, 1), 2))
+    assert r != Ranking((1, 2, 1), 3)
+    assert repr(r) == "Ranking(labels=(1, 2, 1), colors=2)"
+    with pytest.raises(AttributeError):
+        r.colors = 3
+
+
 def test_verify_rejects_length_mismatch():
     with pytest.raises(ValueError):
         verify_ranking(path(3), Ranking((1, 2), 2))

@@ -524,6 +524,12 @@ def test_bounds_enclose_truth():
 
 # -- budgets ----------------------------------------------------------------------------------
 
+def test_default_config_repr():
+    assert repr(SolverConfig()) == (
+        "SolverConfig(node_budget=None, time_budget=None, memo_capacity=None)"
+    )
+
+
 def test_node_budget_exhaustion_reports_bounds():
     g = hn(5)[0]
     with pytest.raises(BudgetExceededError) as err:
