@@ -17,8 +17,19 @@ The search is bounded: each subproblem is asked only whether its value is
 below a bound, and answers with the exact value or a proven lower bound of
 at least that bound. Exact values go to the memo and lower bounds to a
 second store beside it (connected masks only, too), which later queries
-read. A mask of at most 2 vertices or a clique is answered by its size and
-never stored.
+read. A mask of at most 2 vertices or a clique is answered by its size, and
+a connected non-clique on 3 vertices, a path, by 2; neither is stored.
+
+Four textbook facts about k-rankings settle most small subproblems without
+branching. In an elimination forest every vertex adjacent to all others of
+a connected G is an ancestor or a descendant of each of them, so it can be
+moved to the root: td(G) = 1 + td(G - u) for such a u, which is then the
+only branch. A connected graph on at least 3 vertices has td 2 exactly when
+it is a star, so a star is answered at once and every other mask that
+reaches a node has td >= 3. A connected non-clique has td <= n - 1, since a
+non-adjacent pair can share the lowest label. And a leaf of an elimination
+forest has all its neighbours among its ancestors, so td >= 1 + the least
+degree. All of them are read from the degrees of the branch order.
 
 A graph h built by `derive`, a one-step minor or star-clique transform of a
 parent g, also reads g's stores. A connected subproblem h[S] is either
@@ -42,10 +53,13 @@ the kept vertex that stands for it, so every value and bound is unchanged.
 The witness rebuild uses the same rule. The vertex it picks, the first in
 branch order whose removal attains the optimum, is always kept: the first
 vertex of its orbit attains the optimum too, so it is that vertex. Witnesses
-are therefore those of the search without the rule. Two measured cost gates
-decide which graphs get generators (`_SYMMETRY_MIN_VERTICES`, `derive`):
-they are searched for only at a graph's first node that branches, and only
-on a graph with more than 8 vertices that `derive` did not build. A graph
+are therefore those of the search without the rule. The orbits of a node
+are asked for only once its first branch has failed to close it; that
+vertex is the first of its orbit, so nothing it would have skipped changes.
+Two measured cost gates decide which graphs get generators
+(`_SYMMETRY_MIN_VERTICES`, `derive`): they are searched for only at a
+graph's first node whose first branch does not close it, and only on a
+graph with more than 8 vertices that `derive` did not build. A graph
 built by `derive` inherits those of its parent's generators that fix the
 dropped vertex and are automorphisms of it.
 
@@ -74,7 +88,6 @@ from .graphs import (
     automorphism_generators,
     bit_indices,
     component_masks,
-    component_of,
     star_clique,
 )
 from .ranking import Ranking
@@ -93,9 +106,11 @@ class SolverConfig(NamedTuple):
     together. The capacity is checked before every write that adds an
     entry, values copied from a parent graph included. Values already
     solved for the same graph in this process cost nothing, so a call whose
-    answer is cached never runs out. Subproblems on at most 2 vertices and
-    cliques are answered in closed form: they are neither nodes nor store
-    entries, so they spend no budget.
+    answer is cached never runs out. Subproblems on at most 2 vertices,
+    cliques and paths on 3 vertices are answered in closed form: they are
+    neither nodes nor store entries, so they spend no budget. A star on 4 or
+    more vertices is answered at its node without branching, and a node
+    with a vertex adjacent to all others branches on that vertex alone.
     """
 
     node_budget: int | None = None
@@ -279,7 +294,8 @@ class _Search:
         self.memo = solved.memo
         self.lower = solved.lower
         self.parent = solved.parent
-        # The generators' cycles, fetched at the first node that branches. A
+        # The generators' cycles, fetched at the first node whose first
+        # branch does not close it. A
         # graph below the size gate that `derive` did not build has none.
         self.cycles: tuple[list[int], ...] | None = (
             () if solved.gens is None and g.n < _SYMMETRY_MIN_VERTICES else None
@@ -379,15 +395,19 @@ class _Search:
 
         Otherwise the result is a proven lower bound L with ub <= L <= td,
         which is kept in `lower`. A mask of at most 2 vertices or a clique is
-        answered by its size, before it counts as a node and without a store
-        entry. Every other mask has td >= 2, its first lower bound. Each
-        branch asks the components of its rest, through `solve_set`, only
-        whether they beat the current cap (the incumbent, or `ub` if lower),
-        so most subproblems are never solved exactly. Whatever a branch
+        answered by its size and a 3-vertex path by 2, before it counts as a
+        node and without a store entry. A star is answered at its node; every
+        other mask has td >= 3 and td >= 1 + its least degree, and td is at
+        most cnt - 1 (see the module docstring). Each branch asks the
+        components of its rest, through `solve_set`, only whether they beat
+        the current cap (the incumbent, or `ub` if lower), so most
+        subproblems are never solved exactly. Whatever a branch
         learns bounds td(mask - v) from below, and so td(mask) too: once
         such a bound reaches the cap, the remaining branches are skipped.
-        Of each orbit of the mask's symmetries only the first vertex in
-        branch order is a branch (see the module docstring).
+        A vertex adjacent to all others comes first in branch order and is
+        then the only branch. Otherwise, once the first branch has failed to
+        close the node, of each orbit of the mask's symmetries only the first
+        vertex in branch order is a branch (see the module docstring).
         """
         memo = self.memo
         val = memo.get(mask)
@@ -397,6 +417,8 @@ class _Search:
         cnt = mask.bit_count()
         if cnt <= 2 or _is_clique(adj, mask):
             return cnt
+        if cnt == 3:
+            return 2  # a connected non-clique on 3 vertices is a path
         known = self.lower.get(mask, 2)
         if self.parent is not None:
             up, lift = self.parent
@@ -414,22 +436,36 @@ class _Search:
         if known >= ub:
             return known
         self._tick()
+        order = _branch_order(adj, mask)
+        top = order[0]
+        universal = (adj[top] & mask).bit_count() == cnt - 1
+        if universal and (adj[order[1]] & mask).bit_count() == 1:
+            # a star; known >= 2 is below ub, or the mask had returned above
+            self._store(memo, mask, 2)
+            return 2
         root = (mask & -mask).bit_length() - 1
         height = _dfs_height(adj, mask, root)
-        best = height
-        cap = min(height, ub)
-        order = _branch_order(adj, mask)
-        lb = max(_greedy_clique(adj, order), _ceil_log2(height + 1), known)
+        # A non-clique has td <= cnt - 1: a non-adjacent pair shares label 1.
+        best = min(height, cnt - 1)
+        cap = min(best, ub)
+        # Every connected non-star on 4 or more vertices has td >= 3, and a
+        # vertex of least degree, order[-1], as a leaf of an elimination
+        # forest has all its neighbours among its ancestors.
+        lb = max(
+            _greedy_clique(adj, order),
+            _ceil_log2(height + 1),
+            known,
+            3,
+            1 + (adj[order[-1]] & mask).bit_count(),
+        )
         # floor: the least lower bound proven for a branch that did not beat
         # cap, or lb if the loop was cut before every branch had run.
         floor = _NO_BOUND
         if lb < cap:
-            if self.cycles != ():  # no call at all on a graph without generators
-                skip = self._orbit_skips(mask, order)
-                if skip:
-                    order = [v for v in order if not skip >> v & 1]
-                    self.skips += skip.bit_count()
+            skip = 0
             for v in order:
+                if skip >> v & 1:
+                    continue
                 rest = mask ^ (1 << v)
                 # Only connected masks are memoized, so a hit is the value of
                 # the whole rest and needs no split.
@@ -447,10 +483,17 @@ class _Search:
                 if lb >= cap:
                     floor = lb
                     break
+                if v == top:
+                    if universal:
+                        break  # td(mask) = 1 + td(mask - top): the only branch
+                    if self.cycles != ():  # no call at all on a graph without generators
+                        # top is the first vertex of its orbit, so it is never skipped
+                        skip = self._orbit_skips(mask, order)
+                        self.skips += skip.bit_count()
         else:
             floor = lb
         # Below ub the cap was always the incumbent, so no branch beats best.
-        # Otherwise best is the DFS height, exact only if floor reaches it.
+        # Otherwise best is the first upper bound, exact only if floor reaches it.
         if best < ub or floor >= best:
             self._store(memo, mask, best)
             return best
@@ -466,6 +509,15 @@ class _Search:
         # into the remaining components. The orbit rule leaves out the same
         # vertices as in the search; the first attaining vertex is never one.
         adj = self.adj
+        cnt = mask.bit_count()
+        if cnt <= 2 or _is_clique(adj, mask):
+            # what the scan picks: labels cnt, cnt - 1, ..., 1 in ascending order
+            while mask:
+                low = mask & -mask
+                out[low.bit_length() - 1] = cnt
+                cnt -= 1
+                mask ^= low
+            return
         target = self.solve_conn(mask)
         order = _branch_order(adj, mask)
         skip = 0
@@ -802,16 +854,30 @@ def search_feasible_labeling(
 
     def violates(i: int, c: int) -> bool:
         # Adding vertex i with label c can only create a violation inside the
-        # component of i of some <=L subgraph, L >= c.
+        # component of i of some <=L subgraph, c <= L <= the highest label in
+        # use. These components grow with L, so each is grown from the one
+        # below it, and a vertex's row is read once, when it joins.
+        top = k
+        while top >= c and not lab_masks[top]:
+            top -= 1
+        comp = 1 << i
+        reach = adj[i]  # the neighbours of comp
         acc = 0
         for lab in range(1, c):
             acc |= lab_masks[lab]
-        bit_i = 1 << i
-        for lab in range(c, k + 1):
-            acc |= lab_masks[lab]
-            comp = component_of(adj, acc | bit_i, i)
-            same = lab_masks[lab] | (bit_i if lab == c else 0)
-            if (comp & same).bit_count() >= 2:
+        for lab in range(c, top + 1):
+            here = lab_masks[lab]
+            acc |= here
+            frontier = reach & acc & ~comp
+            while frontier:
+                comp |= frontier
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & acc & ~comp
+            # i is not labeled yet: at L = c it is the second vertex labeled c
+            if (comp & here).bit_count() >= (1 if lab == c else 2):
                 return True
         return False
 

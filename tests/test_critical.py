@@ -72,8 +72,9 @@ def test_is_critical_failure_is_decisive_despite_budget():
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3),
                   (1, 4), (2, 3), (2, 4), (2, 5)])
     # The budget is below what the largest minors need, even with the
-    # search bounded by each minor's incumbent.
-    report = is_critical(g, SolverConfig(node_budget=6))
+    # search bounded by each minor's incumbent: budgets 1-5 each leave a
+    # minor inconclusive, 6 finishes every minor.
+    report = is_critical(g, SolverConfig(node_budget=3))
     assert report.inconclusive_steps
     assert report.failing_steps
     assert report.is_critical is False
@@ -234,7 +235,8 @@ def test_uniqueness_report_budget_inconclusive():
     # td(g) = 4. Enough to solve g, too little to decide whether the
     # transforms at vertices 1 and 2 have td <= 3: their bounds are [3, 5], so
     # the decision needs a search. Every other transform is settled by its
-    # bounds alone. Cliques and masks of at most 2 vertices are not nodes.
+    # bounds alone. Cliques, 3-vertex paths and masks of at most 2 vertices are
+    # not nodes.
     report = uniqueness_report(g, SolverConfig(node_budget=3))
     assert report.graph_one_unique is None
     flagged = [u for u in report.per_vertex if u.one_unique is None]

@@ -384,6 +384,38 @@ def test_one_step_facts_against_the_oracle():
                 assert td(h, s) >= td(g, ~p) - 1, (g, step, bin(s))
 
 
+def test_small_subproblem_rules_against_the_oracle():
+    # The rules that settle small subproblems without branching, checked with
+    # brute_force_td and not with the solver, on every connected labeled
+    # graph with at most 6 vertices: a universal vertex u gives
+    # td = 1 + td(G - u); for n >= 3, td = 2 exactly on stars; a non-clique
+    # has td <= n - 1; and td >= 1 + the least degree.
+    oracle = {}
+
+    def td(g):
+        if g not in oracle:
+            oracle[g] = brute_force_td(g)
+        return oracle[g]
+
+    stars = 0
+    for n in range(1, 7):
+        for g in iter_labeled_graphs(n):
+            value = td(g)
+            degrees = [g.degree(v) for v in range(g.n)]
+            for u in range(g.n):
+                if n >= 2 and degrees[u] == n - 1:
+                    rest = induced_subgraph(g, [v for v in range(g.n) if v != u])
+                    assert value == 1 + td(rest), (g, u)
+            if n >= 3:
+                star = max(degrees) == n - 1 and sorted(degrees)[-2] == 1
+                stars += star
+                assert (value == 2) == star, g
+            if min(degrees) < n - 1:
+                assert value <= n - 1, g
+            assert value >= 1 + min(degrees), g
+    assert stars == 3 + 4 + 5 + 6  # one per choice of centre
+
+
 def test_inherited_solves_match_fresh_solves():
     rng = random.Random(29)
     for _ in range(30):

@@ -48,8 +48,14 @@ def named_graphs():
     graphs += [cartesian_k2(a) for a in range(3, 9)]
     graphs += [hn(n)[0] for n in range(4, 9)]
     graphs += [grid(3, 4), grid(4, 4), grid(3, 5), hypercube(4), petersen()]
-    graphs += [complete_bipartite(3, 7), complete_bipartite(4, 6), complete_bipartite(5, 5)]
-    return graphs
+    return graphs + first_branch_graphs()
+
+
+def first_branch_graphs():
+    # K_{a,b} with a <= b: td = a + 1 = 1 + min degree, so every node of the
+    # search is closed by its first branch, which removes a vertex of the
+    # smaller side, before the orbit rule is asked for anything.
+    return [complete_bipartite(3, 7), complete_bipartite(4, 6), complete_bipartite(5, 5)]
 
 
 def gnp16_pool():
@@ -180,10 +186,16 @@ def test_orbit_rule_keeps_values_and_witnesses_on_small_graphs():
 
 
 def test_orbit_rule_keeps_values_and_witnesses_on_symmetric_graphs():
+    first_branch = first_branch_graphs()
     for g in named_graphs():
         pruned, plain = certs(g)
         assert pruned.value == plain.value and pruned.witness == plain.witness, g
-        assert pruned.stats.symmetry_skips > 0 and pruned.stats.nodes < plain.stats.nodes, g
+        if g in first_branch:
+            a = min(g.degree(v) for v in range(g.n))
+            assert pruned.stats.symmetry_skips == 0, g
+            assert pruned.stats.nodes == plain.stats.nodes == a, g
+        else:
+            assert pruned.stats.symmetry_skips > 0 and pruned.stats.nodes < plain.stats.nodes, g
     rng = random.Random(47)
     for _ in range(40):
         g = random_graph(rng, rng.randint(9, 12), rng.random())
@@ -197,6 +209,17 @@ def test_orbit_rule_cuts_the_kak2_proof():
     pruned, plain = certs(cartesian_k2(8))
     assert pruned.stats.nodes * 10 < plain.stats.nodes
     assert plain.stats.symmetry_skips == 0
+
+
+@pytest.mark.parametrize("a", [16, 24, 32])
+def test_complete_bipartite_closes_before_any_generator_search(a):
+    # td >= 1 + min degree = a + 1 closes each node at its first branch, and
+    # the generators are fetched only after a first branch fails to close.
+    g = complete_bipartite(a, a)
+    cert = treedepth(g)
+    assert cert.value == a + 1
+    assert cert.stats.nodes == a
+    assert solver._search_cache[g].gens is None
 
 
 def test_generators_are_searched_only_for_large_underived_graphs():
