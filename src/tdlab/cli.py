@@ -130,7 +130,8 @@ def _solver_options() -> argparse.ArgumentParser:
     p.add_argument(
         "--node-budget", type=_count,
         help="abort with bounds after this many expanded nodes "
-        "(cliques, 3-vertex paths and subgraphs of at most 2 vertices are not nodes)",
+        "(cliques, 3-vertex paths, subgraphs of at most 2 vertices, and subgraphs of "
+        "at most 5 vertices already settled in this process are not nodes)",
     )
     p.add_argument(
         "--time-budget", type=_seconds,
@@ -209,6 +210,7 @@ def cmd_td(args: argparse.Namespace) -> int:
                     "nodes": cert.stats.nodes,
                     "memo_entries": cert.stats.memo_entries,
                     "symmetry_skips": cert.stats.symmetry_skips,
+                    "table_reads": cert.stats.table_reads,
                 },
             }
         )

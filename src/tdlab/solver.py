@@ -63,6 +63,21 @@ graph with more than 8 vertices that `derive` did not build. A graph
 built by `derive` inherits those of its parent's generators that fix the
 dropped vertex and are automorphisms of it.
 
+Connected subgraphs on at most 5 vertices are settled once per process.
+Every search ends in them, and there are only 3 + 37 + 727 = 767 labeled
+connected non-cliques on 3 to 5 vertices, so one process-wide table
+(`_small_table`) keeps each one's exact tree-depth and witness labels by
+position, keyed by the labeled subgraph itself rather than by a graph and a
+mask. A search reads it right after the closed forms, and on a miss fills
+the entry itself: an exact solve and the usual witness scan of the mask,
+whose nodes count against that search's budget. The entry is written only
+once both are known. Neither can depend on which graph the mask came from:
+the branch order inside a mask is by degree inside it and then by index,
+and relabeling by position keeps both. An exact value answers every bounded
+query. The table is not one of a graph's stores, so `memo_capacity` does
+not count it. Concurrent fills are safe: every writer of a key writes the
+identical entry.
+
 The brute-force oracle searches the space of labelings instead of the space
 of elimination orders, which keeps the two routes to a tree-depth value
 independent of each other.
@@ -108,9 +123,13 @@ class SolverConfig(NamedTuple):
     solved for the same graph in this process cost nothing, so a call whose
     answer is cached never runs out. Subproblems on at most 2 vertices,
     cliques and paths on 3 vertices are answered in closed form: they are
-    neither nodes nor store entries, so they spend no budget. A star on 4 or
-    more vertices is answered at its node without branching, and a node
-    with a vertex adjacent to all others branches on that vertex alone.
+    neither nodes nor store entries, so they spend no budget. Nor are
+    subproblems on at most 5 vertices whose labeled subgraph this process
+    has already settled, in any graph: they are read from the process-wide
+    table of small subgraphs (see the module docstring), which no capacity
+    counts. A star on 4 or more vertices is answered at its node without
+    branching, and a node with a vertex adjacent to all others branches on
+    that vertex alone.
     """
 
     node_budget: int | None = None
@@ -126,13 +145,15 @@ class SolverStats(NamedTuple):
 
     `symmetry_skips` counts the branches left out by the orbit rule (see the
     module docstring): vertices of an expanded node's branch order that an
-    earlier vertex of their orbit stood for.
+    earlier vertex of their orbit stood for. `table_reads` counts the
+    subproblems answered from the table of small subgraphs, fills included.
     """
 
     nodes: int
     memo_entries: int
     elapsed: float
     symmetry_skips: int = 0
+    table_reads: int = 0
 
 
 class Bounds(NamedTuple):
@@ -263,6 +284,37 @@ def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
     return True
 
 
+# Connected subgraphs on at most this many vertices are settled once per
+# process, in `_small_table`. In-process solves of the 27,476 connected graphs
+# on at most 6 vertices, table emptied first, took 0.79 s without the table,
+# 0.71 s with a limit of 4, 0.48 s with 5 and 0.66 s with 6, where every
+# 6-vertex graph pays a fill at its top level (CPython 3.11, one core).
+_SMALL_MAX_VERTICES = 5
+
+# The exact tree-depth and witness labels, by position, of every labeled
+# connected non-clique on 3 to `_SMALL_MAX_VERTICES` vertices that this process
+# has met, keyed by `_small_key`: at most 3 + 37 + 727 = 767 entries. Every
+# writer of a key writes the identical entry, so concurrent fills are safe.
+_small_table: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+
+def _small_key(adj: tuple[int, ...], mask: int) -> int:
+    """The labeled subgraph on `mask`: a sentinel bit, then each vertex's
+    adjacency to the later vertices of the mask, vertices in ascending order."""
+    key = 1
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        row = adj[low.bit_length() - 1] & m
+        r = m
+        while r:
+            b = r & -r
+            key = key << 1 | (row & b != 0)
+            r ^= b
+    return key
+
+
 class _Search:
     """One call's bounded branch-and-bound over connected vertex subsets of one graph.
 
@@ -282,7 +334,7 @@ class _Search:
 
     __slots__ = (
         "g", "adj", "n", "config", "solved", "memo", "lower", "parent", "cycles", "nodes",
-        "skips", "_start", "_deadline",
+        "skips", "reads", "filling", "_start", "_deadline",
     )
 
     def __init__(self, g: Graph, config: SolverConfig, solved: _Solved):
@@ -302,6 +354,9 @@ class _Search:
         )
         self.nodes = 0
         self.skips = 0
+        self.reads = 0
+        # The mask whose table entry this search is filling, which reads past the table.
+        self.filling = 0
         self._start = time.monotonic()
         self._deadline = (
             None if config.time_budget is None else self._start + config.time_budget
@@ -332,6 +387,7 @@ class _Search:
             len(self.memo) + len(self.lower),
             time.monotonic() - self._start,
             self.skips,
+            self.reads,
         )
 
     # -- symmetry ------------------------------------------------------------
@@ -396,9 +452,12 @@ class _Search:
         Otherwise the result is a proven lower bound L with ub <= L <= td,
         which is kept in `lower`. A mask of at most 2 vertices or a clique is
         answered by its size and a 3-vertex path by 2, before it counts as a
-        node and without a store entry. A star is answered at its node; every
-        other mask has td >= 3 and td >= 1 + its least degree, and td is at
-        most cnt - 1 (see the module docstring). Each branch asks the
+        node and without a store entry. Any other mask on at most
+        `_SMALL_MAX_VERTICES` vertices is answered from the table of small
+        subgraphs, exactly, unless it is the one whose entry this search is
+        filling. A star is answered at its node; every other mask has
+        td >= 3 and td >= 1 + its least degree, and td is at most cnt - 1
+        (see the module docstring). Each branch asks the
         components of its rest, through `solve_set`, only whether they beat
         the current cap (the incumbent, or `ub` if lower), so most
         subproblems are never solved exactly. Whatever a branch
@@ -419,6 +478,8 @@ class _Search:
             return cnt
         if cnt == 3:
             return 2  # a connected non-clique on 3 vertices is a path
+        if cnt <= _SMALL_MAX_VERTICES and mask != self.filling:
+            return self._small(mask)[0]
         known = self.lower.get(mask, 2)
         if self.parent is not None:
             up, lift = self.parent
@@ -439,6 +500,12 @@ class _Search:
         order = _branch_order(adj, mask)
         top = order[0]
         universal = (adj[top] & mask).bit_count() == cnt - 1
+        # The star rule and the bound 3 below, which needs it, now meet masks
+        # of at most 5 vertices only in table fills. Without both, node counts
+        # of small6 and the gnp16 pool are unchanged and their in-process
+        # times flat, but the one-step minors of hn(5..8) and kak2(3..6) take
+        # 31,527 nodes instead of 31,524, and hn(6)'s first minor 36 instead of
+        # 33 from empty stores and table (29 instead of 27 from its parent's).
         if universal and (adj[order[1]] & mask).bit_count() == 1:
             # a star; known >= 2 is below ub, or the mask had returned above
             self._store(memo, mask, 2)
@@ -508,6 +575,8 @@ class _Search:
         # attains it, give it the top rank of this subproblem, and recurse
         # into the remaining components. The orbit rule leaves out the same
         # vertices as in the search; the first attaining vertex is never one.
+        # A small mask takes the labels this scan gave its subgraph when the
+        # table entry was filled.
         adj = self.adj
         cnt = mask.bit_count()
         if cnt <= 2 or _is_clique(adj, mask):
@@ -516,6 +585,12 @@ class _Search:
                 low = mask & -mask
                 out[low.bit_length() - 1] = cnt
                 cnt -= 1
+                mask ^= low
+            return
+        if cnt <= _SMALL_MAX_VERTICES and mask != self.filling:
+            for label in self._small(mask)[1]:
+                low = mask & -mask
+                out[low.bit_length() - 1] = label
                 mask ^= low
             return
         target = self.solve_conn(mask)
@@ -535,6 +610,31 @@ class _Search:
                 # only needed once the first vertex has failed
                 skip = self._orbit_skips(mask, order)
         raise AssertionError("no removal attains the memoized optimum")
+
+    # -- the table of small subgraphs -------------------------------------------
+
+    def _small(self, mask: int) -> tuple[int, tuple[int, ...]]:
+        """The table's entry for the subgraph on `mask`, filled by this search on a miss.
+
+        The fill is the mask's own exact solve and witness scan, run while
+        `filling` names the mask so that both skip the table there; its nodes
+        count against this search's budget. The entry is written only once
+        both the value and the labels are known, so a budget stop leaves none.
+        """
+        self.reads += 1
+        key = _small_key(self.adj, mask)
+        entry = _small_table.get(key)
+        if entry is None:
+            outer = self.filling
+            self.filling = mask
+            try:
+                value = self.solve_conn(mask)
+                out: dict[int, int] = {}
+                self._witness_conn(mask, out)
+            finally:
+                self.filling = outer
+            entry = _small_table[key] = (value, tuple(out[v] for v in bit_indices(mask)))
+        return entry
 
     def certificate(self) -> TdCertificate:
         comps = component_masks(self.adj, (1 << self.n) - 1)

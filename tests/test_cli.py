@@ -92,8 +92,12 @@ def test_td_json_document(tmp_path, capsys):
     assert doc["witness"]["colors"] == 8
     assert len(doc["witness"]["labels"]) == 10
     # kak2(5) is vertex-transitive: the root alone leaves 9 of its 10 branches out
-    assert set(doc["stats"]) == {"nodes", "memo_entries", "symmetry_skips"}
+    assert set(doc["stats"]) == {"nodes", "memo_entries", "symmetry_skips", "table_reads"}
     assert doc["stats"]["symmetry_skips"] >= 9
+    # hn(9)'s search ends in subgraphs of at most 5 vertices, read from the table
+    code, out, _ = run(capsys, ["td", write_graph(tmp_path, hn(9)[0]), "--json"])
+    assert code == 0
+    assert json.loads(out)["stats"]["table_reads"] > 0
 
 
 def test_td_json_counts_no_skips_without_generators(tmp_path, capsys):

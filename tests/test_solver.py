@@ -36,6 +36,7 @@ from tdlab.solver import (
     _branch_order,
     _inherit,
     _Search,
+    _small_key,
     _Solved,
     _split,
     bounds,
@@ -235,6 +236,95 @@ def test_solve_hard_witnesses_are_pinned():
         labels = " ".join(map(str, cert.witness.labels))
         digest.update(f"{name} {cert.value} {labels}\n".encode())
     assert digest.hexdigest() == SOLVE_HARD_WITNESS_SHA256
+
+
+# -- the table of small subgraphs ----------------------------------------------
+
+def pattern_graph(key):
+    # The graph a table key stands for: after the sentinel bit, each vertex's
+    # adjacency to the later vertices, vertices in ascending order.
+    bits = key.bit_length() - 1
+    n = next(n for n in range(3, 6) if n * (n - 1) // 2 == bits)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [pair for i, pair in enumerate(pairs) if key >> (bits - 1 - i) & 1])
+
+
+def assert_table_valid(monkeypatch):
+    # Each entry is the oracle's value of a connected non-clique, with a
+    # verified witness that is the one a search without the table builds.
+    entries = dict(solver._small_table)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_SMALL_MAX_VERTICES", 2)
+        for key, (value, labels) in entries.items():
+            g = pattern_graph(key)
+            assert _small_key(g.adj, g.full_mask()) == key
+            assert component_masks(g.adj, g.full_mask()) == [g.full_mask()]
+            assert len(g.edges()) < g.n * (g.n - 1) // 2, g
+            assert value == brute_force_td(g), g
+            assert verify_ranking(g, Ranking(labels, value)) is None, g
+            assert labels == fresh_cert(g).witness.labels, g
+
+
+def test_table_of_small_subgraphs_is_exact_and_bounded(monkeypatch):
+    # Every labeled connected non-clique on 3 to 5 vertices is solved at its
+    # own top level, so after all connected graphs on at most 6 vertices the
+    # table holds each of them, and nothing else.
+    for n in range(1, 7):
+        for g in iter_labeled_graphs(n):
+            treedepth(g)
+    assert len(solver._small_table) == 3 + 37 + 727
+    assert_table_valid(monkeypatch)
+
+
+def history_graphs():
+    graphs = [hn(n)[0] for n in range(4, 10)] + [cartesian_k2(a) for a in range(3, 7)]
+    for line in (PERFBENCH_INPUTS / "gnp16.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            graphs.append(parse_graph6(line.split()[1]))
+    small6 = (PERFBENCH_INPUTS / "small6.txt").read_text().splitlines()
+    return graphs + [parse_graph6(line.split()[0]) for line in small6[::50]]
+
+
+def test_certificates_do_not_depend_on_what_the_table_holds():
+    graphs = history_graphs()
+    cold = []
+    for g in graphs:
+        solver._search_cache.clear()
+        solver._small_table.clear()
+        cert = treedepth(g)
+        cold.append((cert.value, cert.witness))
+    solver._search_cache.clear()
+    solver._small_table.clear()
+    backwards = [treedepth(g) for g in reversed(graphs)][::-1]
+    # the table as the backward pass left it, the per-graph stores emptied
+    solver._search_cache.clear()
+    warm = [treedepth(g) for g in graphs]
+    assert sum(c.stats.table_reads for c in warm) > 0
+    assert [(c.value, c.witness) for c in backwards] == cold
+    assert [(c.value, c.witness) for c in warm] == cold
+
+
+def test_budget_stops_inside_fills_leave_only_valid_entries(monkeypatch):
+    # A 5-vertex graph's whole search is the fill of its own entry, so every
+    # budget below what it needs from an empty table stops mid-fill, some
+    # inside a nested fill. No stop may leave a wrong or unfinished entry.
+    seen = {}
+    for g in iter_labeled_graphs(5):
+        solver._small_table.clear()
+        need = fresh_cert(g).stats.nodes
+        for budget in range(need):
+            solver._small_table.clear()
+            search = _Search(g, SolverConfig(node_budget=budget), _Solved())
+            with pytest.raises(solver._BudgetHit):
+                search.certificate()
+            assert search.filling == 0
+            assert _small_key(g.adj, g.full_mask()) not in solver._small_table
+            for key, entry in solver._small_table.items():
+                assert seen.setdefault(key, entry) == entry
+    assert seen
+    solver._small_table.clear()
+    solver._small_table.update(seen)
+    assert_table_valid(monkeypatch)
 
 
 def test_monotone_cut_shrinks_hn_search():

@@ -92,8 +92,11 @@ def orbits(n, gens):
 
 def certs(g):
     # The search with generators forced on, whatever the graph's size, and
-    # the search with none.
+    # the search with none. Each starts from an empty table of small
+    # subgraphs, so each builds its own small-mask witnesses and node counts.
+    solver._small_table.clear()
     pruned = _Search(g, DEFAULT_CONFIG, _Solved(gens=automorphism_generators(g))).certificate()
+    solver._small_table.clear()
     plain = _Search(g, DEFAULT_CONFIG, _Solved(gens=[])).certificate()
     return pruned, plain
 
