@@ -130,7 +130,7 @@ def _solver_options() -> argparse.ArgumentParser:
     p.add_argument(
         "--node-budget", type=_count,
         help="abort with bounds after this many expanded nodes "
-        "(cliques, 3-vertex paths, subgraphs of at most 2 vertices, and subgraphs of "
+        "(cliques, subgraphs of at most 2 vertices, and subgraphs of "
         "at most 5 vertices already settled in this process are not nodes)",
     )
     p.add_argument(
@@ -164,9 +164,9 @@ def _config_from(args: argparse.Namespace) -> SolverConfig:
 
 
 def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
     try:
+        if source == "-":
+            return sys.stdin.buffer.read().decode("ascii")
         with open(source, "r", encoding="ascii") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:

@@ -17,7 +17,6 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 64
-ISO_MAX_VERTICES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -415,51 +414,7 @@ def one_step_minor_steps(g: Graph) -> list[MinorStep]:
 
 
 # ---------------------------------------------------------------------------
-# Small-graph isomorphism
-# ---------------------------------------------------------------------------
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exhaustive permutation search with degree pruning; both graphs <= 10 vertices."""
-    if g.n > ISO_MAX_VERTICES or h.n > ISO_MAX_VERTICES:
-        raise ValueError(f"is_isomorphic supports at most {ISO_MAX_VERTICES} vertices")
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    n = g.n
-    gadj, hadj = g.adj, h.adj
-    gdeg = [r.bit_count() for r in gadj]
-    hdeg = [r.bit_count() for r in hadj]
-    # Map the densest vertices first; each candidate must match degree and be
-    # consistent with every vertex already mapped.
-    order = sorted(range(n), key=lambda x: (-gdeg[x], x))
-    image = [-1] * n
-
-    def extend(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        u = order[i]
-        row = gadj[u]
-        for w in range(n):
-            if used >> w & 1 or hdeg[w] != gdeg[u]:
-                continue
-            ok = True
-            for j in range(i):
-                up = order[j]
-                if (row >> up & 1) != (hadj[w] >> image[up] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[u] = w
-                if extend(i + 1, used | (1 << w)):
-                    return True
-        return False
-
-    return extend(0, 0)
-
-
-# ---------------------------------------------------------------------------
-# Automorphisms
+# Automorphisms and isomorphism
 # ---------------------------------------------------------------------------
 
 def _refine(nbrs: list[list[int]], colours: list[int]) -> tuple[list[int], list]:
@@ -581,3 +536,21 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
                 gens.append(perm)
             tried |= _orbit(gens, w)
     return gens
+
+
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Whether some bijection of g's vertices onto h's preserves adjacency.
+
+    In the disjoint union of g and h, with h's vertices after g's, such a
+    bijection and its inverse make an automorphism that swaps the two, and
+    every automorphism that maps the refined colouring marking g's vertices
+    0 and h's 1 onto the one marking them the other way round is such a
+    pair. `_extend` searches for one.
+    """
+    if g.n != h.n:
+        return False
+    adj = g.adj + tuple(row << g.n for row in h.adj)
+    nbrs = [list(bit_indices(row)) for row in adj]
+    left = _refine(nbrs, [0] * g.n + [1] * h.n)
+    right = _refine(nbrs, [1] * g.n + [0] * h.n)
+    return _extend(adj, nbrs, left, right) is not None

@@ -17,19 +17,15 @@ The search is bounded: each subproblem is asked only whether its value is
 below a bound, and answers with the exact value or a proven lower bound of
 at least that bound. Exact values go to the memo and lower bounds to a
 second store beside it (connected masks only, too), which later queries
-read. A mask of at most 2 vertices or a clique is answered by its size, and
-a connected non-clique on 3 vertices, a path, by 2; neither is stored.
+read. A mask of at most 2 vertices or a clique is answered by its size and
+never stored.
 
-Four textbook facts about k-rankings settle most small subproblems without
-branching. In an elimination forest every vertex adjacent to all others of
-a connected G is an ancestor or a descendant of each of them, so it can be
+Two textbook facts about k-rankings are read from the degrees of the branch
+order. In an elimination forest every vertex adjacent to all others of a
+connected G is an ancestor or a descendant of each of them, so it can be
 moved to the root: td(G) = 1 + td(G - u) for such a u, which is then the
-only branch. A connected graph on at least 3 vertices has td 2 exactly when
-it is a star, so a star is answered at once and every other mask that
-reaches a node has td >= 3. A connected non-clique has td <= n - 1, since a
-non-adjacent pair can share the lowest label. And a leaf of an elimination
-forest has all its neighbours among its ancestors, so td >= 1 + the least
-degree. All of them are read from the degrees of the branch order.
+only branch. And a leaf of an elimination forest has all its neighbours
+among its ancestors, so td >= 1 + the least degree.
 
 A graph h built by `derive`, a one-step minor or star-clique transform of a
 parent g, also reads g's stores. A connected subproblem h[S] is either
@@ -121,15 +117,13 @@ class SolverConfig(NamedTuple):
     together. The capacity is checked before every write that adds an
     entry, values copied from a parent graph included. Values already
     solved for the same graph in this process cost nothing, so a call whose
-    answer is cached never runs out. Subproblems on at most 2 vertices,
-    cliques and paths on 3 vertices are answered in closed form: they are
-    neither nodes nor store entries, so they spend no budget. Nor are
-    subproblems on at most 5 vertices whose labeled subgraph this process
-    has already settled, in any graph: they are read from the process-wide
-    table of small subgraphs (see the module docstring), which no capacity
-    counts. A star on 4 or more vertices is answered at its node without
-    branching, and a node with a vertex adjacent to all others branches on
-    that vertex alone.
+    answer is cached never runs out. Subproblems on at most 2 vertices and
+    cliques are answered in closed form: they are neither nodes nor store
+    entries, so they spend no budget. Nor are subproblems on at most 5
+    vertices whose labeled subgraph this process has already settled, in
+    any graph: they are read from the process-wide table of small subgraphs
+    (see the module docstring), which no capacity counts. A node with a
+    vertex adjacent to all others branches on that vertex alone.
     """
 
     node_budget: int | None = None
@@ -451,13 +445,11 @@ class _Search:
 
         Otherwise the result is a proven lower bound L with ub <= L <= td,
         which is kept in `lower`. A mask of at most 2 vertices or a clique is
-        answered by its size and a 3-vertex path by 2, before it counts as a
-        node and without a store entry. Any other mask on at most
-        `_SMALL_MAX_VERTICES` vertices is answered from the table of small
-        subgraphs, exactly, unless it is the one whose entry this search is
-        filling. A star is answered at its node; every other mask has
-        td >= 3 and td >= 1 + its least degree, and td is at most cnt - 1
-        (see the module docstring). Each branch asks the
+        answered by its size, before it counts as a node and without a store
+        entry. Any other mask on at most `_SMALL_MAX_VERTICES` vertices is
+        answered from the table of small subgraphs, exactly, unless it is the
+        one whose entry this search is filling. A node has td >= 1 + its
+        least degree (see the module docstring). Each branch asks the
         components of its rest, through `solve_set`, only whether they beat
         the current cap (the incumbent, or `ub` if lower), so most
         subproblems are never solved exactly. Whatever a branch
@@ -476,8 +468,6 @@ class _Search:
         cnt = mask.bit_count()
         if cnt <= 2 or _is_clique(adj, mask):
             return cnt
-        if cnt == 3:
-            return 2  # a connected non-clique on 3 vertices is a path
         if cnt <= _SMALL_MAX_VERTICES and mask != self.filling:
             return self._small(mask)[0]
         known = self.lower.get(mask, 2)
@@ -500,29 +490,15 @@ class _Search:
         order = _branch_order(adj, mask)
         top = order[0]
         universal = (adj[top] & mask).bit_count() == cnt - 1
-        # The star rule and the bound 3 below, which needs it, now meet masks
-        # of at most 5 vertices only in table fills. Without both, node counts
-        # of small6 and the gnp16 pool are unchanged and their in-process
-        # times flat, but the one-step minors of hn(5..8) and kak2(3..6) take
-        # 31,527 nodes instead of 31,524, and hn(6)'s first minor 36 instead of
-        # 33 from empty stores and table (29 instead of 27 from its parent's).
-        if universal and (adj[order[1]] & mask).bit_count() == 1:
-            # a star; known >= 2 is below ub, or the mask had returned above
-            self._store(memo, mask, 2)
-            return 2
         root = (mask & -mask).bit_length() - 1
-        height = _dfs_height(adj, mask, root)
-        # A non-clique has td <= cnt - 1: a non-adjacent pair shares label 1.
-        best = min(height, cnt - 1)
-        cap = min(best, ub)
-        # Every connected non-star on 4 or more vertices has td >= 3, and a
-        # vertex of least degree, order[-1], as a leaf of an elimination
+        best = height = _dfs_height(adj, mask, root)
+        cap = min(height, ub)
+        # A vertex of least degree, order[-1], as a leaf of an elimination
         # forest has all its neighbours among its ancestors.
         lb = max(
             _greedy_clique(adj, order),
             _ceil_log2(height + 1),
             known,
-            3,
             1 + (adj[order[-1]] & mask).bit_count(),
         )
         # floor: the least lower bound proven for a branch that did not beat
@@ -560,7 +536,7 @@ class _Search:
         else:
             floor = lb
         # Below ub the cap was always the incumbent, so no branch beats best.
-        # Otherwise best is the first upper bound, exact only if floor reaches it.
+        # Otherwise best is the DFS height, exact only if floor reaches it.
         if best < ub or floor >= best:
             self._store(memo, mask, best)
             return best

@@ -28,7 +28,8 @@ FAMILY_CASES = [
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
         assert monkeypatch is not None
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        data = stdin.encode("ascii") if isinstance(stdin, str) else stdin
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -113,6 +114,18 @@ def test_td_stdin_auto_detect(capsys, monkeypatch):
     code, out, _ = run(capsys, ["td", "-"], stdin=text, monkeypatch=monkeypatch)
     assert code == 0
     assert "td: 4" in out
+
+
+def test_non_ascii_input_is_a_parse_error_from_a_file_and_from_stdin(
+    tmp_path, capsys, monkeypatch
+):
+    data = b"# caf\xc3\xa9\n2 1\n0 1\n"
+    p = tmp_path / "g.txt"
+    p.write_bytes(data)
+    for argv, stdin in ((["td", str(p)], None), (["td", "-"], data)):
+        code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 2 and out == "", argv
+        assert "input is not ASCII text" in err, argv
 
 
 def test_gen_td_round_trip_matches_library(tmp_path, capsys):

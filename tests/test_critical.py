@@ -235,8 +235,8 @@ def test_uniqueness_report_budget_inconclusive():
     # td(g) = 4. Enough to solve g, too little to decide whether the
     # transforms at vertices 1 and 2 have td <= 3: their bounds are [3, 5], so
     # the decision needs a search. Every other transform is settled by its
-    # bounds alone. Cliques, 3-vertex paths and masks of at most 2 vertices are
-    # not nodes.
+    # bounds alone. Cliques, masks of at most 2 vertices and masks of at most 5
+    # that the table of small subgraphs already holds are not nodes.
     report = uniqueness_report(g, SolverConfig(node_budget=3))
     assert report.graph_one_unique is None
     flagged = [u for u in report.per_vertex if u.one_unique is None]

@@ -279,6 +279,12 @@ def test_is_isomorphic_degree_blind_pair():
     assert is_isomorphic(two_triangles, relabeled)
 
 
-def test_is_isomorphic_size_cap():
-    with pytest.raises(ValueError):
-        is_isomorphic(complete(11), complete(11))
+def test_is_isomorphic_beyond_ten_vertices():
+    # The hub transform of hn(n) is kak2(n - 1), here on 22 vertices.
+    assert is_isomorphic(star_clique(hn(12)[0], 0), cartesian_k2(11))
+    assert not is_isomorphic(star_clique(hn(12)[0], 1), cartesian_k2(11))
+    # Both 2-regular on 12 vertices, so refinement alone cannot tell them apart.
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    two_hexagons = Graph(12, hexagon + [(6 + u, 6 + v) for u, v in hexagon])
+    assert not is_isomorphic(two_hexagons, cycle(12))
+    assert is_isomorphic(cycle(12), cycle(12)) and is_isomorphic(complete(11), complete(11))
