@@ -166,6 +166,8 @@ def _config_from(args: argparse.Namespace) -> SolverConfig:
 def _read_text(source: str) -> str:
     try:
         if source == "-":
+            if sys.stdin is None:  # the process was started with fd 0 closed
+                raise OSError("standard input is closed")
             return sys.stdin.buffer.read().decode("ascii")
         with open(source, "r", encoding="ascii") as fh:
             return fh.read()

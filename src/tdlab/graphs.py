@@ -2,9 +2,11 @@
 
 Vertices are the integers 0..n-1. Every vertex subset, including each
 adjacency row, is a plain Python int used as a bit mask, so subgraph work
-reduces to word arithmetic. Graphs are immutable values: every operation
-returns a new Graph and never mutates its input, which makes them safe to
-share between threads.
+reduces to word arithmetic. Graphs are values: every operation returns a new
+Graph and never mutates its input, and equality and hashing read only the
+vertex count and the adjacency. The one mutable part of a Graph object is a
+private slot in which the solver keeps what it has learned about that object;
+it lives and dies with the object.
 
 Vertex numbering conventions of the generators and the re-indexing rules of
 the minor operations are fixed (and tested) so that witness rankings can name
@@ -72,10 +74,12 @@ class Graph:
     """Simple undirected graph on 1..64 vertices with bit-mask adjacency.
 
     Invariants enforced at construction: adjacency is symmetric, no vertex is
-    its own neighbour, and all neighbour bits lie below n.
+    its own neighbour, and all neighbour bits lie below n. `_solved` belongs
+    to the solver (see `solver._Solved`); it starts as None and takes no part
+    in equality, hashing or repr.
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_solved")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not 1 <= n <= MAX_VERTICES:
@@ -90,6 +94,7 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self.adj = tuple(rows)
+        self._solved = None
 
     @classmethod
     def from_adj(cls, adj: tuple[int, ...]) -> "Graph":
@@ -110,6 +115,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g.adj = tuple(adj)
+        g._solved = None
         return g
 
     # -- queries ------------------------------------------------------------

@@ -41,7 +41,7 @@ putting x above an elimination forest of G - x.
 The search branches on one vertex per orbit. When an automorphism of
 G[mask] maps u to v, td(mask - u) = td(mask - v), so of each orbit only the
 first vertex in branch order is searched. Each graph keeps generators of its
-automorphism group in its cache entry, and the orbits at a mask are those of
+automorphism group in its entry, and the orbits at a mask are those of
 the group generated by the generators that map the mask onto itself. That
 group is a subgroup of Aut(G[mask]), and any subgroup is sound: its orbits
 are only finer than the true ones, and each vertex left out has the value of
@@ -74,6 +74,14 @@ query. The table is not one of a graph's stores, so `memo_capacity` does
 not count it. Concurrent fills are safe: every writer of a key writes the
 identical entry.
 
+What the search learns about a graph is kept on that Graph object, in its
+`_solved` slot (see `_Solved`), and lives exactly as long as the object, or a
+graph derived from it, is alive. Equal but distinct objects solve
+separately; values and witnesses do not depend on which one is asked.
+Concurrent callers need no lock: every memo writer computes the identical
+value and every lower bound written is valid, so two threads that create a
+graph's entry at once lose at most one entry's work, never a value.
+
 The brute-force oracle searches the space of labelings instead of the space
 of elimination orders, which keeps the two routes to a tree-depth value
 independent of each other.
@@ -85,9 +93,7 @@ subproblem, so identical inputs always produce identical certificates.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from typing import Callable, NamedTuple
 
 from .graphs import (
@@ -116,8 +122,9 @@ class SolverConfig(NamedTuple):
     two stores (exact values and lower bounds, see `_Solved`) may hold
     together. The capacity is checked before every write that adds an
     entry, values copied from a parent graph included. Values already
-    solved for the same graph in this process cost nothing, so a call whose
-    answer is cached never runs out. Subproblems on at most 2 vertices and
+    solved for the same Graph object cost nothing, so a call whose answer
+    is already known never runs out; an equal but distinct object starts
+    from empty stores. Subproblems on at most 2 vertices and
     cliques are answered in closed form: they are neither nodes nor store
     entries, so they spend no budget. Nor are subproblems on at most 5
     vertices whose labeled subgraph this process has already settled, in
@@ -629,12 +636,13 @@ class _Solved:
     connected mask to a proven lower bound of its tree-depth; an entry is
     only ever raised, and may stay after the mask's exact value is found.
     `cert` is the finished certificate, built only by `treedepth`.
-    `parent` is set by `derive`: the parent graph's own entry, and the lift
-    of `_inherit`, which maps each mask of this graph to the parent mask of
-    the identical subgraph, or of the subgraph one step away. Holding the
-    entry keeps the parent's stores readable after the parent has left the
-    search cache. `gens` are the automorphism generators the search branches
-    by (see `_generators`), None until they are first needed.
+    The entry lives on its Graph object (`_solved_for`). `parent` is set by
+    `derive`: the parent graph's own entry, and the lift of `_inherit`,
+    which maps each mask of this graph to the parent mask of the identical
+    subgraph, or of the subgraph one step away. Holding the entry keeps the
+    parent's stores readable after the parent graph itself is gone. `gens`
+    are the automorphism generators the search branches by (see
+    `_generators`), None until they are first needed.
     """
 
     __slots__ = ("memo", "lower", "cert", "parent", "gens")
@@ -647,25 +655,12 @@ class _Solved:
         self.gens = gens
 
 
-# Every call, budgeted or not, reads and writes its graph's entry; budgets and
-# node counts stay in the call's own _Search. Concurrent callers are safe: the
-# lock guards the cache, every memo writer computes the identical value, and
-# every lower bound written is valid, so a raise lost to a concurrent write
-# only weakens pruning.
-_SEARCH_CACHE_SIZE = 4096
-_search_cache: OrderedDict[Graph, _Solved] = OrderedDict()
-_search_cache_lock = threading.Lock()
-
-
 def _solved_for(g: Graph) -> _Solved:
-    with _search_cache_lock:
-        hit = _search_cache.get(g)
-        if hit is not None:
-            _search_cache.move_to_end(g)
-            return hit
-        solved = _search_cache[g] = _Solved()
-        if len(_search_cache) > _SEARCH_CACHE_SIZE:
-            _search_cache.popitem(last=False)
+    """g's entry, created on first use. Every call, budgeted or not, reads and
+    writes it; budgets and node counts stay in the call's own _Search."""
+    solved = g._solved
+    if solved is None:
+        solved = g._solved = _Solved()
     return solved
 
 
@@ -723,9 +718,10 @@ def derive(g: Graph, step: MinorStep | int) -> Graph:
     `step` is a `MinorStep`, or a vertex v for `star_clique(g, v)`. The step
     drops at most one vertex: `step.dropped` for a minor step, and v for the
     transform. The lift of `_inherit` is built here, once, and stored with
-    g's cache entry in the result's `parent`. Later `treedepth` and
-    `treedepth_le` calls on the returned graph read each subproblem that is
-    identical in g from g's memo and lower bounds instead of searching it.
+    g's entry in the result's `parent`, which keeps g's stores alive as long
+    as the result is. Later `treedepth` and `treedepth_le` calls on the
+    returned graph read each subproblem that is identical in g from g's memo
+    and lower bounds instead of searching it.
     A subproblem one step from one of g's gets g's value there, or else its
     lower bound, minus 1 as a lower bound (see the module docstring). When
     the step changes an edge of a connected h, h's full mask is such a
@@ -748,8 +744,7 @@ def derive(g: Graph, step: MinorStep | int) -> Graph:
     entry.parent = (up, _inherit(g, h, drop))
     # Inherited, never searched: a search per minor took `is_critical(hn(7))`
     # from 9.6 to 30.8 ms in-process (CPython 3.11, one core).
-    if entry.gens is None:
-        entry.gens = _inherit_generators(_generators(g, up), h, drop)
+    entry.gens = _inherit_generators(_generators(g, up), h, drop)
     return h
 
 

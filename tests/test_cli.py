@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from tdlab.formats import format_graph_text, parse_graph_text
 from tdlab.graphs import cartesian_k2, complete, cycle, hn, k_net, path
 from tdlab.ranking import Ranking, verify_ranking
 from tdlab.solver import treedepth
+from test_startup import _env
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -179,6 +182,17 @@ def test_verify_rejects_invalid_ranking(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", gpath, str(rpath)])
     assert code == 1
     assert "label 2" in out
+
+
+def test_closed_stdin_is_an_io_error():
+    # fd 0 closed when the interpreter starts leaves sys.stdin None
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m tdlab.cli td - <&-', sys.executable],
+        env=_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 4, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == "io error: standard input is closed\n"
 
 
 def test_verify_rejects_double_stdin(capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tdlab import solver
+from tdlab import critical, solver
 from tdlab.critical import (
     family_witnesses_ok,
     is_critical,
@@ -131,16 +131,33 @@ def test_hn_hub_is_the_only_non_unique_vertex():
             assert_one_unique_witness(g, v, one_unique_starclique(g, v))
 
 
-def test_transform_certificate_is_built_only_when_printed():
+def test_transform_certificate_is_built_only_when_printed(monkeypatch):
     # The transform test asks only whether td drops, so a vertex that is not
     # 1-unique leaves its transform without a certificate. reproduce prints
     # the hub transform's td, so it builds that certificate.
+    built = []
+
+    def recording_derive(g, step):
+        h = solver.derive(g, step)
+        built.append((g, step, h))
+        return h
+
+    monkeypatch.setattr(critical, "derive", recording_derive)
+
+    def hub_transforms(n):
+        g, layout = hn(n)
+        return [h for parent, step, h in built if parent == g and step == layout.hub]
+
     g, layout = hn(7)
     assert one_unique_starclique(g, layout.hub) is None
-    assert solver._search_cache[star_clique(g, layout.hub)].cert is None
+    [h] = hub_transforms(7)
+    assert h == star_clique(g, layout.hub)
+    assert solver._solved_for(h).cert is None
     reproduce(8)
-    g, layout = hn(8)
-    assert solver._search_cache[star_clique(g, layout.hub)].cert is not None
+    # uniqueness_report's transform test, then the printed solve
+    tested, printed = hub_transforms(8)
+    assert solver._solved_for(tested).cert is None
+    assert solver._solved_for(printed).cert is not None
 
 
 def test_cliques_are_one_unique_everywhere():

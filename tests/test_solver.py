@@ -1,9 +1,13 @@
 """Exact solver: values, certificates, bounds, budgets, brute-force oracle."""
 
+import gc
 import hashlib
 import random
 import sys
 import threading
+import tracemalloc
+import weakref
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -50,7 +54,7 @@ from test_ranking import induced_subgraph
 
 
 def fresh_cert(g):
-    # a search with its own stores, independent of the shared cache
+    # a search with its own stores, independent of those on the graph object
     return _Search(g, DEFAULT_CONFIG, _Solved()).certificate()
 
 
@@ -67,7 +71,7 @@ def assert_stores_valid(g, solved):
 
 
 def assert_memo_exact(g):
-    solved = solver._search_cache[g]
+    solved = solver._solved_for(g)
     assert solved.memo
     assert_stores_valid(g, solved)
 
@@ -286,19 +290,19 @@ def history_graphs():
 
 
 def test_certificates_do_not_depend_on_what_the_table_holds():
-    graphs = history_graphs()
+    # Each pass solves new Graph objects, so only the table carries over.
+    def copies():
+        return [Graph.from_adj(g.adj) for g in history_graphs()]
+
     cold = []
-    for g in graphs:
-        solver._search_cache.clear()
+    for g in copies():
         solver._small_table.clear()
         cert = treedepth(g)
         cold.append((cert.value, cert.witness))
-    solver._search_cache.clear()
     solver._small_table.clear()
-    backwards = [treedepth(g) for g in reversed(graphs)][::-1]
-    # the table as the backward pass left it, the per-graph stores emptied
-    solver._search_cache.clear()
-    warm = [treedepth(g) for g in graphs]
+    backwards = [treedepth(g) for g in reversed(copies())][::-1]
+    # the table as the backward pass left it
+    warm = [treedepth(g) for g in copies()]
     assert sum(c.stats.table_reads for c in warm) > 0
     assert [(c.value, c.witness) for c in backwards] == cold
     assert [(c.value, c.witness) for c in warm] == cold
@@ -338,7 +342,6 @@ def test_cliques_are_answered_in_closed_form():
     # and neither store gets an entry, whatever the bound asked.
     for k in range(1, 7):
         g = complete(k)
-        solver._search_cache.pop(g, None)
         cert = treedepth(g)
         assert cert.value == k
         assert cert.stats.nodes == 0 and cert.stats.memo_entries == 0
@@ -439,7 +442,7 @@ def test_inherit_accepts_exactly_the_identical_subgraphs():
                 assert lookup(s) == want, (g, step, bin(s))
 
 
-def test_one_step_facts_against_the_oracle():
+def test_one_step_facts_against_the_oracle(oracle_td):
     # The parent bound of the search rests on three facts, checked here with
     # brute_force_td and not with the solver: every one-step minor has td in
     # {td - 1, td}; every star-clique transform has td >= td - 1; and every
@@ -447,14 +450,10 @@ def test_one_step_facts_against_the_oracle():
     # td(h[S]) >= td(g[P']) - 1, where P' = ~lift(S) is a connected mask of
     # g. Every connected labeled graph on 2-5 vertices, and every 16th
     # connected labeled graph on 6 vertices.
-    oracle = {}
-
     def td(g, mask=None):
         if mask is not None:
             g = induced_subgraph(g, list(bit_indices(mask)))
-        if g not in oracle:
-            oracle[g] = brute_force_td(g)
-        return oracle[g]
+        return oracle_td(g)
 
     graphs = [g for n in range(2, 6) for g in iter_labeled_graphs(n)]
     graphs += list(iter_labeled_graphs(6))[::16]
@@ -474,18 +473,12 @@ def test_one_step_facts_against_the_oracle():
                 assert td(h, s) >= td(g, ~p) - 1, (g, step, bin(s))
 
 
-def test_small_subproblem_rules_against_the_oracle():
+def test_small_subproblem_rules_against_the_oracle(oracle_td):
     # The rules that settle small subproblems without branching, checked with
     # brute_force_td and not with the solver, on every connected labeled
     # graph with at most 6 vertices: a universal vertex u gives
     # td = 1 + td(G - u), and td >= 1 + the least degree.
-    oracle = {}
-
-    def td(g):
-        if g not in oracle:
-            oracle[g] = brute_force_td(g)
-        return oracle[g]
-
+    td = oracle_td
     for n in range(1, 7):
         for g in iter_labeled_graphs(n):
             value = td(g)
@@ -500,12 +493,11 @@ def test_small_subproblem_rules_against_the_oracle():
 def test_small_subgraphs_cost_a_node_only_in_their_first_solve():
     # path(3) is neither a clique nor on at most 2 vertices, so its solve
     # reads the table of small subgraphs. The first solve in a process fills
-    # the entry at one node; a later one, with the per-graph cache emptied,
-    # reads it at none and gives the same witness.
+    # the entry at one node; a later one, on a new path(3) object with empty
+    # stores, reads it at none and gives the same witness.
     first = treedepth(path(3))
     assert (first.value, first.stats.nodes) == (2, 1)
     assert _small_key(path(3).adj, path(3).full_mask()) in solver._small_table
-    solver._search_cache.clear()
     again = treedepth(path(3))
     assert (again.value, again.stats.nodes) == (2, 0)
     assert again.witness == first.witness
@@ -516,26 +508,30 @@ def test_inherited_solves_match_fresh_solves():
     rng = random.Random(29)
     for _ in range(30):
         g = random_graph(rng, rng.randint(3, 9), rng.random())
-        solver._search_cache.clear()
         treedepth(g)
         for step, h in derived_graphs(g):
-            cert = treedepth(derive(g, step))
+            derived = derive(g, step)
+            cert = treedepth(derived)
             want = fresh_cert(h)
             assert cert.value == want.value and cert.witness == want.witness, (g, step)
-            assert_stores_valid(h, solver._search_cache[h])
+            assert_stores_valid(h, solver._solved_for(derived))
 
 
-def test_derived_solve_reads_an_evicted_parent(monkeypatch):
+class DroppableGraph(Graph):
+    # a Graph whose deletion a weak reference can observe
+    __slots__ = ("__weakref__",)
+
+
+def test_derived_solve_reads_a_deleted_parent():
     # The derived graph keeps its parent's entry, so the parent's stores still
-    # serve it after the parent has left the cache, and the solve does not put
-    # the parent back.
-    monkeypatch.setattr(solver, "_SEARCH_CACHE_SIZE", 2)
-    g = hn(6)[0]
+    # serve it after the parent graph itself has been deleted.
+    g = DroppableGraph.from_adj(hn(6)[0].adj)
     treedepth(g)
-    step = one_step_minor_steps(g)[0]
-    h = derive(g, step)
-    treedepth(path(3))
-    assert g not in solver._search_cache and h in solver._search_cache
+    h = derive(g, one_step_minor_steps(g)[0])
+    parent = weakref.ref(g)
+    del g
+    gc.collect()
+    assert parent() is None
     # A warm table of small subgraphs would make the fresh search as cheap,
     # so each solve starts from an empty one.
     solver._small_table.clear()
@@ -544,25 +540,24 @@ def test_derived_solve_reads_an_evicted_parent(monkeypatch):
     want = fresh_cert(h)
     assert cert.value == want.value and cert.witness == want.witness
     assert cert.stats.nodes < want.stats.nodes
-    assert g not in solver._search_cache
 
 
 def test_chained_derived_solves_match_fresh_solves():
     rng = random.Random(37)
     for _ in range(25):
         g = random_graph(rng, rng.randint(4, 9), rng.random())
-        solver._search_cache.clear()
         treedepth(g)
         s1 = rng.choice(list(derived_graphs(g)))[0]
         h1 = derive(g, s1)
         if rng.random() < 0.5:
             treedepth(h1)
         s2, h2 = rng.choice(list(derived_graphs(h1)))
-        cert = treedepth(derive(h1, s2))
+        derived = derive(h1, s2)
+        cert = treedepth(derived)
         want = fresh_cert(h2)
         assert cert.value == want.value and cert.witness == want.witness, (g, s1, s2)
-        assert_stores_valid(h1, solver._search_cache[h1])
-        assert_stores_valid(h2, solver._search_cache[h2])
+        assert_stores_valid(h1, solver._solved_for(h1))
+        assert_stores_valid(h2, solver._solved_for(derived))
 
 
 def test_inherited_minor_solves_expand_fewer_nodes():
@@ -573,6 +568,32 @@ def test_inherited_minor_solves_expand_fewer_nodes():
         inherited += treedepth(derive(g, step)).stats.nodes
         fresh += fresh_cert(apply_minor_step(g, step)).stats.nodes
     assert inherited < fresh
+
+
+# -- memory --------------------------------------------------------------------
+
+def test_solver_memory_follows_the_graphs_the_caller_holds():
+    # What a solve learns lives on its Graph object, so solving graphs that
+    # the caller drops leaves nothing behind but the bounded table of small
+    # subgraphs. 5,500 distinct connected labeled graphs on 6 vertices; the
+    # first 500 warm the table.
+    graphs = islice(iter_labeled_graphs(6), 0, 22000, 4)
+    tracemalloc.start()
+    try:
+        for g in islice(graphs, 500):
+            treedepth(g)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        solved = 0
+        for g in graphs:
+            treedepth(g)
+            solved += 1
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert solved == 5000
+    assert growth < 1 << 20, growth
 
 
 # -- decision form -----------------------------------------------------------------
@@ -596,8 +617,7 @@ def test_treedepth_le_is_a_bounded_search():
         td = fresh_cert(g).value
         for k in range(g.n + 1):
             assert treedepth_le(g, k) == (td <= k), (g, k)
-        solved = solver._search_cache.get(g)
-        assert solved is None or solved.cert is None
+        assert solver._solved_for(g).cert is None
 
 
 # -- certificates ----------------------------------------------------------------------
@@ -625,7 +645,7 @@ def test_certificates_are_deterministic():
     b = fresh_cert(g)
     assert a.value == b.value
     assert a.witness == b.witness
-    c = treedepth(g)  # shared-cache path
+    c = treedepth(g)  # the path through the stores on g
     assert c.value == a.value and c.witness == a.witness
 
 
@@ -693,15 +713,12 @@ def test_memo_capacity_bounds_both_stores():
     config = SolverConfig(memo_capacity=30)
     for step in one_step_minor_steps(g):
         for inherit in (True, False):
-            h = apply_minor_step(g, step)
-            solver._search_cache.pop(h, None)
-            if inherit:
-                h = derive(g, step)
+            h = derive(g, step) if inherit else apply_minor_step(g, step)
             try:
                 entries = treedepth(h, config).stats.memo_entries
             except BudgetExceededError as exc:
                 entries = exc.stats.memo_entries
-            solved = solver._search_cache[h]
+            solved = solver._solved_for(h)
             assert entries == len(solved.memo) + len(solved.lower) <= 30, step
 
 

@@ -17,7 +17,7 @@ from tdlab.graphs import (
     one_step_minor_steps,
 )
 from tdlab.selftest import iter_labeled_graphs, random_graph
-from tdlab.solver import DEFAULT_CONFIG, _Search, _Solved, brute_force_td, derive, treedepth
+from tdlab.solver import DEFAULT_CONFIG, _Search, _Solved, derive, treedepth
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -166,26 +166,26 @@ def test_inherited_generators_are_automorphisms_of_the_derived_graph(g):
     assert parent
     for step in one_step_minor_steps(g) + list(range(g.n)):
         h = derive(g, step)
-        gens = solver._search_cache[h].gens
+        gens = solver._solved_for(h).gens
         assert gens is not None, step
         for perm in gens:
             assert is_automorphism(h, perm), (step, perm)
     # the hub transform of hn(7) is kak2(6); it keeps the clique symmetries of hn(7)
     if g.n == 13:
         h = derive(g, 0)
-        assert len(orbits(h.n, solver._search_cache[h].gens)) == 2
+        assert len(orbits(h.n, solver._solved_for(h).gens)) == 2
 
 
 # -- the orbit rule in the search ------------------------------------------------
 
-def test_orbit_rule_keeps_values_and_witnesses_on_small_graphs():
+def test_orbit_rule_keeps_values_and_witnesses_on_small_graphs(oracle_td):
     # Every connected labeled graph on at most 6 vertices, with generators
     # forced on; the pruned value is also checked against the oracle.
     for n in range(1, 7):
         for g in iter_labeled_graphs(n):
             pruned, plain = certs(g)
             assert pruned.value == plain.value and pruned.witness == plain.witness, g
-            assert pruned.value == brute_force_td(g), g
+            assert pruned.value == oracle_td(g), g
 
 
 def test_orbit_rule_keeps_values_and_witnesses_on_symmetric_graphs():
@@ -222,17 +222,17 @@ def test_complete_bipartite_closes_before_any_generator_search(a):
     cert = treedepth(g)
     assert cert.value == a + 1
     assert cert.stats.nodes == a
-    assert solver._search_cache[g].gens is None
+    assert solver._solved_for(g).gens is None
 
 
 def test_generators_are_searched_only_for_large_underived_graphs():
     small = cartesian_k2(4)
     assert treedepth(small).stats.symmetry_skips == 0
-    assert solver._search_cache[small].gens is None
+    assert solver._solved_for(small).gens is None
     big = cartesian_k2(5)
     assert treedepth(big).stats.symmetry_skips > 0
-    assert solver._search_cache[big].gens == automorphism_generators(big)
+    assert solver._solved_for(big).gens == automorphism_generators(big)
     # a graph whose answer needs no node gets none searched for
     clique = complete(12)
     treedepth(clique)
-    assert solver._search_cache[clique].gens is None
+    assert solver._solved_for(clique).gens is None
