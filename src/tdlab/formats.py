@@ -136,11 +136,11 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_GRAPH6_HEADER) :].lstrip()
     if not s:
         raise FormatError("empty graph6 input", line=1)
-    for col, ch in enumerate(s, 1):
-        if not 63 <= ord(ch) <= 126:
-            raise FormatError(
-                f"invalid graph6 character {ch!r}", line=1, column=col
-            )
+    bad = re.search(r"[^?-~]", s)  # outside chr(63)..chr(126)
+    if bad:
+        raise FormatError(
+            f"invalid graph6 character {bad.group()!r}", line=1, column=bad.start() + 1
+        )
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
             raise FormatError("graph6 8-byte size form exceeds the 64-vertex cap", line=1)
@@ -161,20 +161,27 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError(
             f"graph6 body for n={n} needs {need} characters, found {len(body)}", line=1
         )
-    bits = []
-    for ch in body:
-        value = ord(ch) - 63
-        bits.extend(value >> shift & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    # The whole body as one integer, first character highest; the padding is
+    # its low 6 * need - nbits bits.
+    bits = 0
+    for ch in body.encode("ascii"):
+        bits = bits << 6 | (ch - 63)
+    pos = 6 * need
+    if bits & ((1 << (pos - nbits)) - 1):
         raise FormatError("nonzero padding bits in graph6 body", line=1)
-    edges = []
-    idx = 0
+    # Column col is the next col bits, row 0 highest. Every edge has
+    # row < col < n and sets both rows, so the Graph invariants hold.
+    rows = [0] * n
     for col in range(1, n):
-        for row in range(col):
-            if bits[idx]:
-                edges.append((row, col))
-            idx += 1
-    return Graph(n, edges)
+        pos -= col
+        column = bits >> pos & ((1 << col) - 1)
+        while column:
+            low = column & -column
+            column ^= low
+            row = col - low.bit_length()
+            rows[row] |= 1 << col
+            rows[col] |= 1 << row
+    return Graph._unchecked(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

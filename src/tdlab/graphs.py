@@ -112,9 +112,14 @@ class Graph:
             for u in bit_indices(row):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        return cls._unchecked(tuple(adj))
+
+    @classmethod
+    def _unchecked(cls, adj: tuple[int, ...]) -> "Graph":
+        """Build from adjacency rows that already meet the Graph invariants."""
         g = object.__new__(cls)
-        g.n = n
-        g.adj = tuple(adj)
+        g.n = len(adj)
+        g.adj = adj
         g._solved = None
         return g
 

@@ -145,6 +145,8 @@ def verify_ranking(g: Graph, r: Ranking) -> Violation | None:
     for lab in sorted(by_label):
         lab_mask = by_label[lab]
         cum |= lab_mask
+        if lab_mask & (lab_mask - 1) == 0:
+            continue  # one vertex holds this label: no component can hold two
         for comp in component_masks(adj, cum):
             same = comp & lab_mask
             if same.bit_count() < 2:

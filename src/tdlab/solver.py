@@ -65,7 +65,7 @@ connected non-cliques on 3 to 5 vertices, so one process-wide table
 (`_small_table`) keeps each one's exact tree-depth and witness labels by
 position, keyed by the labeled subgraph itself rather than by a graph and a
 mask. A search reads it right after the closed forms, and on a miss fills
-the entry itself: an exact solve and the usual witness scan of the mask,
+the entry itself: an exact solve of the mask and its witness build,
 whose nodes count against that search's budget. The entry is written only
 once both are known. Neither can depend on which graph the mask came from:
 the branch order inside a mask is by degree inside it and then by index,
@@ -79,8 +79,9 @@ What the search learns about a graph is kept on that Graph object, in its
 graph derived from it, is alive. Equal but distinct objects solve
 separately; values and witnesses do not depend on which one is asked.
 Concurrent callers need no lock: every memo writer computes the identical
-value and every lower bound written is valid, so two threads that create a
-graph's entry at once lose at most one entry's work, never a value.
+value, every pick writer the identical vertex (written after the value), and
+every lower bound written is valid, so two threads that create a graph's
+entry at once lose at most one entry's work, never a value.
 
 The brute-force oracle searches the space of labelings instead of the space
 of elimination orders, which keeps the two routes to a tree-depth value
@@ -89,6 +90,22 @@ independent of each other.
 Determinism: branch order is decreasing degree with lowest index breaking
 ties, and the witness assigns the removed vertex the highest rank of its
 subproblem, so identical inputs always produce identical certificates.
+
+The witness is built from the branches the search chose. When a node writes
+its exact value and some branch lowered its incumbent, the vertex v that did
+so last is kept beside it (`_Solved.pick`), and the witness gives v the
+node's value and recurses into the components of mask - v. Every other mask
+(the DFS height was never beaten, the lower bound met the cap before any
+branch improved, or the value was copied from a parent by `derive`) is
+rebuilt by a scan: the first vertex in branch order, after the orbit rule,
+whose removal attains td(mask). Both give the same vertex. v attains
+td(mask): its branch was answered exactly below the cap, and the incumbent
+it set is the node's value. Take any earlier kept vertex w, tried under the
+cap c_w. Either its branch proved td(mask - w) >= c_w - 1, or it lowered the
+incumbent to 1 + td(mask - w). In both cases a later branch lowered the
+incumbent further, to td(mask), so td(mask - w) >= td(mask) and w does not
+attain it. The scan skips exactly the vertices the search skipped, because
+both compute the orbits once `order[0]` has failed.
 """
 
 from __future__ import annotations
@@ -323,7 +340,9 @@ class _Search:
     `_Solved`): `memo`, the exact values, and `lower`, proven lower bounds of
     subproblems that were only asked whether they beat a bound. Every entry
     is valid whatever the caller's incumbent, so a call stopped by its budget
-    leaves only exact values and valid bounds. A graph built by `derive`
+    leaves only exact values and valid bounds. Beside an exact value it
+    writes, the search keeps in `pick` the branch that set it, if any, which
+    the witness rebuild reads. A graph built by `derive`
     also reads both stores of its parent (`_Solved.parent`), through the
     lift of `_inherit`. Where the two induced subgraphs are identical, an
     exact value read there is copied into the memo and a lower bound raises
@@ -334,8 +353,8 @@ class _Search:
     """
 
     __slots__ = (
-        "g", "adj", "n", "config", "solved", "memo", "lower", "parent", "cycles", "nodes",
-        "skips", "reads", "filling", "_start", "_deadline",
+        "g", "adj", "n", "config", "solved", "memo", "lower", "pick", "parent", "cycles",
+        "nodes", "skips", "reads", "filling", "_start", "_deadline",
     )
 
     def __init__(self, g: Graph, config: SolverConfig, solved: _Solved):
@@ -346,6 +365,7 @@ class _Search:
         self.solved = solved
         self.memo = solved.memo
         self.lower = solved.lower
+        self.pick = solved.pick
         self.parent = solved.parent
         # The generators' cycles, fetched at the first node whose first
         # branch does not close it. A
@@ -511,6 +531,7 @@ class _Search:
         # floor: the least lower bound proven for a branch that did not beat
         # cap, or lb if the loop was cut before every branch had run.
         floor = _NO_BOUND
+        chosen = -1  # the branch that last lowered the incumbent
         if lb < cap:
             skip = 0
             for v in order:
@@ -524,6 +545,7 @@ class _Search:
                     worst = self.solve_set(_split(adj, rest, adj[v] & rest), cap - 1)
                 if 1 + worst < cap:
                     best = cap = 1 + worst
+                    chosen = v
                 elif 1 + worst < floor:
                     floor = 1 + worst
                 # Tree-depth is monotone on subgraphs: td(mask) >= td(rest) >=
@@ -546,6 +568,8 @@ class _Search:
         # Otherwise best is the DFS height, exact only if floor reaches it.
         if best < ub or floor >= best:
             self._store(memo, mask, best)
+            if chosen >= 0:
+                self.pick[mask] = chosen
             return best
         self._store(self.lower, mask, floor)
         return floor
@@ -553,13 +577,14 @@ class _Search:
     # -- witness ---------------------------------------------------------------
 
     def _witness_conn(self, mask: int, out: dict[int, int]) -> None:
-        # Second pass: pick the first branch vertex (in branch order) whose
-        # components all lie below the optimum, which is the first one that
-        # attains it, give it the top rank of this subproblem, and recurse
-        # into the remaining components. The orbit rule leaves out the same
-        # vertices as in the search; the first attaining vertex is never one.
-        # A small mask takes the labels this scan gave its subgraph when the
-        # table entry was filled.
+        # Give the first branch vertex (in branch order) that attains the
+        # optimum the top rank of this subproblem, and recurse into the
+        # remaining components. The search recorded that vertex in `pick`
+        # when a branch lowered the incumbent; otherwise a second pass finds
+        # it as the first vertex whose components all lie below the optimum.
+        # The orbit rule leaves out the same vertices as in the search; the
+        # first attaining vertex is never one. A small mask takes the labels
+        # its subgraph got when the table entry was filled.
         adj = self.adj
         cnt = mask.bit_count()
         if cnt <= 2 or _is_clique(adj, mask):
@@ -575,6 +600,13 @@ class _Search:
                 low = mask & -mask
                 out[low.bit_length() - 1] = label
                 mask ^= low
+            return
+        v = self.pick.get(mask)
+        if v is not None:
+            out[v] = self.memo[mask]
+            rest = mask ^ (1 << v)
+            for c in _split(adj, rest, adj[v] & rest):
+                self._witness_conn(c, out)
             return
         target = self.solve_conn(mask)
         order = _branch_order(adj, mask)
@@ -599,7 +631,7 @@ class _Search:
     def _small(self, mask: int) -> tuple[int, tuple[int, ...]]:
         """The table's entry for the subgraph on `mask`, filled by this search on a miss.
 
-        The fill is the mask's own exact solve and witness scan, run while
+        The fill is the mask's own exact solve and witness build, run while
         `filling` names the mask so that both skip the table there; its nodes
         count against this search's budget. The entry is written only once
         both the value and the labels are known, so a budget stop leaves none.
@@ -635,6 +667,10 @@ class _Solved:
     `memo` maps a connected mask to its exact tree-depth. `lower` maps a
     connected mask to a proven lower bound of its tree-depth; an entry is
     only ever raised, and may stay after the mask's exact value is found.
+    `pick` maps a mask of `memo` to the branch vertex that last lowered its
+    incumbent, when one did (see the module docstring); it is written only
+    together with a memo entry, so it never outgrows `memo`, and the memo
+    capacity bounds it without counting it.
     `cert` is the finished certificate, built only by `treedepth`.
     The entry lives on its Graph object (`_solved_for`). `parent` is set by
     `derive`: the parent graph's own entry, and the lift of `_inherit`,
@@ -645,11 +681,12 @@ class _Solved:
     `_generators`), None until they are first needed.
     """
 
-    __slots__ = ("memo", "lower", "cert", "parent", "gens")
+    __slots__ = ("memo", "lower", "pick", "cert", "parent", "gens")
 
     def __init__(self, gens: list[tuple[int, ...]] | None = None):
         self.memo: dict[int, int] = {}
         self.lower: dict[int, int] = {}
+        self.pick: dict[int, int] = {}
         self.cert: TdCertificate | None = None
         self.parent: tuple[_Solved, Callable[[int], int]] | None = None
         self.gens = gens

@@ -71,11 +71,31 @@ def test_graph6_frozen_vectors():
         assert parse_graph6(expected) == g
 
 
+def reference_graph6_decode(s):
+    # Bit by bit from the published packing: size field, then the upper
+    # triangle column by column, six bits per character, highest bit first.
+    if s[0] == "~":
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
+        body = s[4:]
+    else:
+        n = ord(s[0]) - 63
+        body = s[1:]
+    bits = [(ord(ch) - 63) >> shift & 1 for ch in body for shift in range(5, -1, -1)]
+    pairs = [(row, col) for col in range(1, n) for row in range(col)]
+    assert not any(bits[len(pairs):])
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
+
+
 def test_graph6_round_trip_random():
     rng = random.Random(99)
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(1, 64), rng.random())
-        assert parse_graph6(format_graph6(g)) == g
+    sizes = list(range(1, 65)) + [63, 63, 64, 64] + [rng.randint(1, 64) for _ in range(200)]
+    for n in sizes:
+        g = random_graph(rng, n, rng.random())
+        s = format_graph6(g)
+        h = parse_graph6(s)
+        assert h == g == reference_graph6_decode(s)
+        # the decoder skips from_adj's checks; its rows must pass them anyway
+        assert type(h.adj) is tuple and Graph.from_adj(h.adj) == h
 
 
 def test_graph6_long_size_form():
@@ -90,12 +110,28 @@ def test_graph6_header_accepted():
 
 
 def test_graph6_rejects_bad_input():
-    for bad in ["", "B ", "Bgg", "B", "~~~~~~~~", "~?B~"]:
-        with pytest.raises(FormatError):
-            parse_graph6(bad)
-    # nonzero padding bits: P3 body 'g' is 101000; 'h' = 101001 sets a pad bit
-    with pytest.raises(FormatError):
-        parse_graph6("Bh")
+    long63 = format_graph6(path(63))
+    cases = [
+        ("", "empty graph6 input (line 1)"),
+        ("B ", "graph6 body for n=3 needs 1 characters, found 0 (line 1)"),
+        ("Dh c", "invalid graph6 character ' ' (line 1, column 3)"),
+        ("B\u00e9", "invalid graph6 character '\u00e9' (line 1, column 2)"),
+        ("B\x7f", "invalid graph6 character '\\x7f' (line 1, column 2)"),
+        ("Bgg", "graph6 body for n=3 needs 1 characters, found 2 (line 1)"),
+        ("B", "graph6 body for n=3 needs 1 characters, found 0 (line 1)"),
+        (long63[:-1], "graph6 body for n=63 needs 326 characters, found 325 (line 1)"),
+        # nonzero padding bits: P3 body 'g' is 101000; 'h' = 101001 sets a pad bit
+        ("Bh", "nonzero padding bits in graph6 body (line 1)"),
+        ("A`", "nonzero padding bits in graph6 body (line 1)"),
+        (long63[:-1] + chr(ord(long63[-1]) + 1), "nonzero padding bits in graph6 body (line 1)"),
+        ("?", "graphs must have at least one vertex (line 1)"),
+        ("~?B~", "graph on 255 vertices exceeds the 64-vertex cap (line 1)"),
+        ("~~~~~~~~", "graph6 8-byte size form exceeds the 64-vertex cap (line 1)"),
+    ]
+    for text, message in cases:
+        with pytest.raises(FormatError) as err:
+            parse_graph6(text)
+        assert str(err.value) == message, text
 
 
 def test_graph6_matches_reference_library():

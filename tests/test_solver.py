@@ -242,6 +242,37 @@ def test_solve_hard_witnesses_are_pinned():
     assert digest.hexdigest() == SOLVE_HARD_WITNESS_SHA256
 
 
+class NoPicks(dict):
+    # A pick store that keeps nothing, so every witness level runs the scan.
+    def __setitem__(self, mask, v):
+        pass
+
+
+def test_recorded_picks_give_the_scan_witness():
+    # The vertex that last lowered a node's incumbent is the one the witness
+    # scan finds (see the solver's module docstring), so building the witness
+    # from the recorded picks changes no label. Each side fills the table of
+    # small subgraphs itself, so its entries are built the same way.
+    small6 = (PERFBENCH_INPUTS / "small6.txt").read_text().splitlines()
+    graphs = [parse_graph6(line.split()[0]) for line in small6[::8]]
+    graphs += [hn(n)[0] for n in range(5, 10)] + [cartesian_k2(a) for a in range(3, 9)]
+    for line in (PERFBENCH_INPUTS / "gnp16.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            graphs.append(parse_graph6(line.split()[1]))
+    picked = 0
+    for g in graphs:
+        solver._small_table.clear()
+        cert = treedepth(g)
+        solved = solver._solved_for(g)
+        assert solved.pick.keys() <= solved.memo.keys()
+        picked += len(solved.pick)
+        solver._small_table.clear()
+        solved.pick = NoPicks()
+        scanned = _Search(g, DEFAULT_CONFIG, solved).certificate()
+        assert scanned.witness == cert.witness, format_graph6(g)
+    assert picked > len(graphs)
+
+
 # -- the table of small subgraphs ----------------------------------------------
 
 def pattern_graph(key):
