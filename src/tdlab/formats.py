@@ -114,20 +114,20 @@ def format_graph6(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
-    bits = []
+    # The upper triangle as one integer, column by column, row 0 highest in
+    # each column (the inverse of parse_graph6), zero-padded to whole characters.
+    bits = 0
     for col in range(1, n):
-        row_bits = g.adj[col]
-        for row in range(col):
-            bits.append(row_bits >> row & 1)
-    chars = []
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group.extend([0] * (6 - len(group)))
-        value = 0
-        for b in group:
-            value = value << 1 | b
-        chars.append(chr(63 + value))
-    return head + "".join(chars)
+        column = g.adj[col] & ~(-1 << col)
+        bits <<= col
+        while column:
+            low = column & -column
+            column ^= low
+            bits |= 1 << col - low.bit_length()
+    nbits = n * (n - 1) // 2
+    pos = nbits + -nbits % 6  # the padded length
+    bits <<= pos - nbits
+    return head + "".join([chr(63 + (bits >> s & 63)) for s in range(pos - 6, -1, -6)])
 
 
 def parse_graph6(text: str) -> Graph:
@@ -190,11 +190,11 @@ def parse_graph6(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 def detect_graph_format(text: str) -> str:
-    lines = _data_lines(text)
-    if not lines:
-        raise FormatError("empty graph input", line=1)
-    first = lines[0][1].lstrip()
-    return "edgelist" if first[0].isdigit() else "graph6"
+    for raw in text.splitlines():  # the first data line, by _data_lines' rules
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            return "edgelist" if stripped[0].isdigit() else "graph6"
+    raise FormatError("empty graph input", line=1)
 
 
 def parse_graph_text(text: str, fmt: str | None = None) -> Graph:

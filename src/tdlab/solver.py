@@ -944,10 +944,14 @@ def search_feasible_labeling(
 
     `fixed` pins chosen vertices to chosen labels; every other vertex ranges
     over {min_free_label..k}. Vertices are assigned in ascending order
-    (pinned ones first) and a partial labeling is abandoned exactly when its
-    already-labeled vertices contain a violating path: extending the labeling
-    only adds vertices to the low-label subgraphs, so such a violation can
-    never be repaired.
+    (pinned ones first), each to an allowed label. Let i be the next vertex,
+    top the highest label in use, C_L the component of i among i and the
+    vertices labeled <= L, and n_L the number of vertices labeled L in C_L.
+    Label c is allowed exactly when c > top or n_c = 0, and n_L <= 1 for
+    every c < L <= top: the labeled vertices contain no violating path, so a
+    new one runs through i and joins two vertices labeled L >= c, one of
+    them i when L = c. Extending a labeling only adds vertices to the
+    low-label subgraphs, so a partial labeling with a violation is abandoned.
     """
     n = g.n
     adj = g.adj
@@ -956,24 +960,23 @@ def search_feasible_labeling(
         g._check_vertex(v)
         if not 1 <= lab <= k:
             raise ValueError(f"pinned label {lab} of vertex {v} outside 1..{k}")
-    order = sorted(pins) + [v for v in range(n) if v not in pins]
+    # (vertex, lowest and highest label it may take), in the order assigned
+    order = [(v, pins[v], pins[v]) for v in sorted(pins)]
+    order += [(v, min_free_label, k) for v in range(n) if v not in pins]
     labels = [0] * n
     lab_masks = [0] * (k + 1)
 
-    def violates(i: int, c: int) -> bool:
-        # Adding vertex i with label c can only create a violation inside the
-        # component of i of some <=L subgraph, c <= L <= the highest label in
-        # use. These components grow with L, so each is grown from the one
-        # below it, and a vertex's row is read once, when it joins.
-        top = k
-        while top >= c and not lab_masks[top]:
-            top -= 1
-        comp = 1 << i
+    def assign(pos: int, top: int) -> tuple[int, ...] | None:
+        if pos == n:
+            return tuple(labels)
+        i, lo, hi = order[pos]
+        # C_L grows with L, so one growth over the levels finds every n_L,
+        # and a vertex's row is read once.
+        comp = bit = 1 << i
         reach = adj[i]  # the neighbours of comp
         acc = 0
-        for lab in range(1, c):
-            acc |= lab_masks[lab]
-        for lab in range(c, top + 1):
+        free = []
+        for lab in range(1, top + 1):
             here = lab_masks[lab]
             acc |= here
             frontier = reach & acc & ~comp
@@ -984,29 +987,22 @@ def search_feasible_labeling(
                     reach |= adj[low.bit_length() - 1]
                     frontier ^= low
                 frontier = reach & acc & ~comp
-            # i is not labeled yet: at L = c it is the second vertex labeled c
-            if (comp & here).bit_count() >= (1 if lab == c else 2):
-                return True
-        return False
-
-    def assign(pos: int) -> tuple[int, ...] | None:
-        if pos == n:
-            return tuple(labels)
-        u = order[pos]
-        choices = (pins[u],) if u in pins else range(min_free_label, k + 1)
-        for c in choices:
-            if violates(u, c):
-                continue
-            labels[u] = c
-            lab_masks[c] |= 1 << u
-            found = assign(pos + 1)
+            met = comp & here
+            if met & (met - 1):  # n_lab >= 2: no c <= lab is allowed
+                free = []
+            elif not met and lo <= lab <= hi:
+                free.append(lab)
+        free.extend(range(max(lo, top + 1), hi + 1))
+        for c in free:
+            labels[i] = c
+            lab_masks[c] |= bit
+            found = assign(pos + 1, c if c > top else top)
             if found is not None:
                 return found
-            lab_masks[c] &= ~(1 << u)
-            labels[u] = 0
+            lab_masks[c] ^= bit
         return None
 
-    return assign(0)
+    return assign(0, 0)
 
 
 def brute_force_td(g: Graph) -> int:

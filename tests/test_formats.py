@@ -6,6 +6,7 @@ import pytest
 
 from tdlab.formats import (
     FormatError,
+    _data_lines,
     detect_graph_format,
     format_edge_list,
     format_graph6,
@@ -98,6 +99,29 @@ def test_graph6_round_trip_random():
         assert type(h.adj) is tuple and Graph.from_adj(h.adj) == h
 
 
+def reference_graph6_encode(g):
+    # Bit by bit from the published packing: a list of the upper triangle's
+    # bits column by column, regrouped six at a time with zero padding.
+    n = g.n
+    head = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    bits = [g.adj[col] >> row & 1 for col in range(1, n) for row in range(col)]
+    bits += [0] * (-len(bits) % 6)
+    groups = [bits[i : i + 6] for i in range(0, len(bits), 6)]
+    return head + "".join(chr(63 + int("".join(map(str, group)), 2)) for group in groups)
+
+
+def test_graph6_round_trip_at_the_size_boundaries():
+    # n = 62 is the last short size field, 63 the first long one, 64 the cap
+    rng = random.Random(19)
+    for n in (1, 2, 62, 63, 64):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            g = random_graph(rng, n, p)
+            s = format_graph6(g)
+            assert s.startswith("~") == (n > 62)
+            assert s == reference_graph6_encode(g)
+            assert parse_graph6(s) == g == reference_graph6_decode(s)
+
+
 def test_graph6_long_size_form():
     for g in [complete(63), path(64)]:
         s = format_graph6(g)
@@ -153,6 +177,35 @@ def test_detect_graph_format():
     assert detect_graph_format("# note\nBg\n") == "graph6"
     with pytest.raises(FormatError):
         detect_graph_format("# only comments\n")
+
+
+def test_detect_graph_format_reads_the_first_data_line_only():
+    def by_data_lines(text):  # the verdict from the fully split text
+        lines = _data_lines(text)
+        if not lines:
+            raise FormatError("empty graph input", line=1)
+        return "edgelist" if lines[0][1].lstrip()[0].isdigit() else "graph6"
+
+    empty = ["", "\n", "  \n\t\n\n", "# only\n  # comments\n", "\r\n# crlf\r\n\r\n", "#"]
+    for text in empty:
+        with pytest.raises(FormatError) as err:
+            detect_graph_format(text)
+        assert str(err.value) == "empty graph input (line 1)"
+        with pytest.raises(FormatError) as ref:
+            by_data_lines(text)
+        assert str(ref.value) == str(err.value)
+    texts = [
+        "3 2\r\n0 1\r\n1 2\r\n",
+        "\r\n  Bg  \r\n",
+        "# n m\n\n  # note\n  4 0\n",
+        "   # indented comment\nBg\n",
+        "Bg\n3 2\n",  # only the first data line decides
+        "3 2\nBg\n",
+        "\u2028Bg",  # splitlines also splits at U+2028
+    ]
+    for text in texts:
+        assert detect_graph_format(text) == by_data_lines(text), repr(text)
+    assert [detect_graph_format(t) for t in texts[:4]] == ["edgelist", "graph6", "edgelist", "graph6"]
 
 
 def test_parse_graph_text_forced_format():

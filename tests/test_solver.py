@@ -7,7 +7,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -860,8 +860,41 @@ def test_search_feasible_labeling_is_lexicographically_first():
     g = path(4)
     got = search_feasible_labeling(g, 3)
     labelings = []
-    from itertools import product
     for labels in product((1, 2, 3), repeat=4):
         if verify_ranking(g, Ranking(labels, 3)) is None:
             labelings.append(labels)
     assert got == min(labelings)
+
+
+def first_feasible_by_enumeration(g, k, pinned=None):
+    # The least labeling in lexicographic order that verify_ranking accepts:
+    # all of {1..k}^n, or, with a vertex pinned to 1, that vertex at 1 and
+    # every other vertex in {2..k}.
+    if pinned is None:
+        candidates = product(range(1, k + 1), repeat=g.n)
+    else:
+        candidates = (
+            rest[:pinned] + (1,) + rest[pinned:]
+            for rest in product(range(2, k + 1), repeat=g.n - 1)
+        )
+    for labels in candidates:
+        if verify_ranking(g, Ranking(labels, k)) is None:
+            return labels
+    return None
+
+
+def test_search_feasible_labeling_against_enumeration():
+    # The allowed-label rule against plain enumeration: every labeled graph
+    # on at most 4 vertices, connected or not, and every k <= n; then the
+    # pinned form of one_unique_direct on every connected graph on at most
+    # 5 vertices, every vertex and every k <= n.
+    for n in range(1, 5):
+        for g in iter_labeled_graphs(n, connected_only=False):
+            for k in range(1, n + 1):
+                assert search_feasible_labeling(g, k) == first_feasible_by_enumeration(g, k), (g, k)
+    for n in range(2, 6):
+        for g in iter_labeled_graphs(n):
+            for v in range(n):
+                for k in range(1, n + 1):
+                    got = search_feasible_labeling(g, k, fixed={v: 1}, min_free_label=2)
+                    assert got == first_feasible_by_enumeration(g, k, pinned=v), (g, v, k)
