@@ -136,8 +136,8 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_GRAPH6_HEADER) :].lstrip()
     if not s:
         raise FormatError("empty graph6 input", line=1)
-    bad = re.search(r"[^?-~]", s)  # outside chr(63)..chr(126)
-    if bad:
+    if min(s) < "?" or max(s) > "~":  # outside chr(63)..chr(126)
+        bad = re.search(r"[^?-~]", s)
         raise FormatError(
             f"invalid graph6 character {bad.group()!r}", line=1, column=bad.start() + 1
         )

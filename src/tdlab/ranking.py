@@ -50,9 +50,11 @@ class Ranking:
         labels = tuple(labels)
         if colors < 1:
             raise ValueError(f"colors must be positive, got {colors}")
-        for v, lab in enumerate(labels):
-            if not 1 <= lab <= colors:
-                raise ValueError(f"label {lab} of vertex {v} outside 1..{colors}")
+        if labels and (min(labels) < 1 or max(labels) > colors):
+            # the first label out of range names the error
+            for v, lab in enumerate(labels):
+                if not 1 <= lab <= colors:
+                    raise ValueError(f"label {lab} of vertex {v} outside 1..{colors}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "colors", colors)
 

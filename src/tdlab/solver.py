@@ -59,20 +59,29 @@ graph with more than 8 vertices that `derive` did not build. A graph
 built by `derive` inherits those of its parent's generators that fix the
 dropped vertex and are automorphisms of it.
 
-Connected subgraphs on at most 5 vertices are settled once per process.
-Every search ends in them, and there are only 3 + 37 + 727 = 767 labeled
-connected non-cliques on 3 to 5 vertices, so one process-wide table
-(`_small_table`) keeps each one's exact tree-depth and witness labels by
-position, keyed by the labeled subgraph itself rather than by a graph and a
-mask. A search reads it right after the closed forms, and on a miss fills
-the entry itself: an exact solve of the mask and its witness build,
-whose nodes count against that search's budget. The entry is written only
-once both are known. Neither can depend on which graph the mask came from:
-the branch order inside a mask is by degree inside it and then by index,
-and relabeling by position keeps both. An exact value answers every bounded
-query. The table is not one of a graph's stores, so `memo_capacity` does
-not count it. Concurrent fills are safe: every writer of a key writes the
-identical entry.
+Subgraphs on 3 to 5 vertices are settled once per process. Every search
+ends in them, and there are only 2^3 + 2^6 + 2^10 = 1,096 labeled graphs on
+3 to 5 vertices, so one process-wide table (`_small_table`) keeps each
+one's exact tree-depth and witness labels by position, keyed by the labeled
+subgraph itself rather than by a graph and a mask. A search reads it for a
+subproblem of that size before its stores and the clique test, and at a
+node on at most 6 vertices each branch reads its whole rest, connected or
+not, with one table read: no split and no solve per component. On a miss
+the search fills the entry itself: an exact solve of each component of the
+mask and its witness build, whose nodes count against that search's
+budget. A disconnected entry holds the largest of its components' values
+and their labels side by side, which is what the split and the witness
+rebuild of the components give. The entry is written only once both are
+known. Neither can depend on which graph the mask came from: the branch
+order inside a mask is by degree inside it and then by index, and
+relabeling by position keeps both. An exact value answers every bounded
+query, and tree-depth is monotone on subgraphs, so a branch may learn the
+exact value of its rest where a split would have stopped at the first
+component that reached the cap. Each search keeps the entries it has read
+by mask, so the witness rebuild copies a rest's labels without computing
+its key again. The table is not one of a graph's stores, so `memo_capacity`
+does not count it. Concurrent fills are safe: every writer of a key writes
+the identical entry.
 
 What the search learns about a graph is kept on that Graph object, in its
 `_solved` slot (see `_Solved`), and lives exactly as long as the object, or a
@@ -143,10 +152,11 @@ class SolverConfig(NamedTuple):
     is already known never runs out; an equal but distinct object starts
     from empty stores. Subproblems on at most 2 vertices and
     cliques are answered in closed form: they are neither nodes nor store
-    entries, so they spend no budget. Nor are subproblems on at most 5
-    vertices whose labeled subgraph this process has already settled, in
-    any graph: they are read from the process-wide table of small subgraphs
-    (see the module docstring), which no capacity counts. A node with a
+    entries, so they spend no budget. Nor are subgraphs on 3 to 5 vertices,
+    subproblems or the rests of branches, connected or not, whose labeled
+    subgraph this process has already settled, in any graph: they are read
+    from the process-wide table of small subgraphs (see the module
+    docstring), which no capacity counts. A node with a
     vertex adjacent to all others branches on that vertex alone.
     """
 
@@ -164,7 +174,9 @@ class SolverStats(NamedTuple):
     `symmetry_skips` counts the branches left out by the orbit rule (see the
     module docstring): vertices of an expanded node's branch order that an
     earlier vertex of their orbit stood for. `table_reads` counts the
-    subproblems answered from the table of small subgraphs, fills included.
+    distinct subgraphs (masks) the call read from the table of small
+    subgraphs, fills included; the witness rebuild reads them again from
+    the call's own copy, which no count includes.
     """
 
     nodes: int
@@ -302,17 +314,20 @@ def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
     return True
 
 
-# Connected subgraphs on at most this many vertices are settled once per
-# process, in `_small_table`. In-process solves of the 27,476 connected graphs
-# on at most 6 vertices, table emptied first, took 0.79 s without the table,
-# 0.71 s with a limit of 4, 0.48 s with 5 and 0.66 s with 6, where every
-# 6-vertex graph pays a fill at its top level (CPython 3.11, one core).
+# Subgraphs on 3 to this many vertices are settled once per process, in
+# `_small_table`. In-process solves of the 27,476 connected graphs on at most
+# 6 vertices, table emptied first, took 0.79 s without the table, 0.71 s with
+# a limit of 4, 0.48 s with 5 and 0.66 s with 6, where every 6-vertex graph
+# pays a fill at its top level (CPython 3.11, one core; the table then held
+# connected non-cliques only).
 _SMALL_MAX_VERTICES = 5
 
-# The exact tree-depth and witness labels, by position, of every labeled
-# connected non-clique on 3 to `_SMALL_MAX_VERTICES` vertices that this process
-# has met, keyed by `_small_key`: at most 3 + 37 + 727 = 767 entries. Every
-# writer of a key writes the identical entry, so concurrent fills are safe.
+# The exact tree-depth and witness labels, by position, of every labeled graph
+# on 3 to `_SMALL_MAX_VERTICES` vertices, connected or not, that a search of
+# this process has read whole, keyed by `_small_key`: at most
+# 2^3 + 2^6 + 2^10 = 1,096 entries. A disconnected entry is the largest of its
+# components' values, with their labels side by side. Every writer of a key
+# writes the identical entry, so concurrent fills are safe.
 _small_table: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 
@@ -354,7 +369,7 @@ class _Search:
 
     __slots__ = (
         "g", "adj", "n", "config", "solved", "memo", "lower", "pick", "parent", "cycles",
-        "nodes", "skips", "reads", "filling", "_start", "_deadline",
+        "nodes", "skips", "entries", "filling", "_start", "_deadline",
     )
 
     def __init__(self, g: Graph, config: SolverConfig, solved: _Solved):
@@ -375,7 +390,8 @@ class _Search:
         )
         self.nodes = 0
         self.skips = 0
-        self.reads = 0
+        # The table entries this call has read, by mask (see `_small`).
+        self.entries: dict[int, tuple[int, tuple[int, ...]]] = {}
         # The mask whose table entry this search is filling, which reads past the table.
         self.filling = 0
         self._start = time.monotonic()
@@ -408,7 +424,7 @@ class _Search:
             len(self.memo) + len(self.lower),
             time.monotonic() - self._start,
             self.skips,
-            self.reads,
+            len(self.entries),
         )
 
     # -- symmetry ------------------------------------------------------------
@@ -471,14 +487,16 @@ class _Search:
         """Tree-depth of the connected induced subgraph on `mask`, if it is below `ub`.
 
         Otherwise the result is a proven lower bound L with ub <= L <= td,
-        which is kept in `lower`. A mask of at most 2 vertices or a clique is
+        which is kept in `lower`. A mask on 3 to `_SMALL_MAX_VERTICES`
+        vertices is answered from the table of small subgraphs, exactly,
+        unless it is the one whose entry this search is filling; that read
+        needs no connected mask. A mask of at most 2 vertices or a clique is
         answered by its size, before it counts as a node and without a store
-        entry. Any other mask on at most `_SMALL_MAX_VERTICES` vertices is
-        answered from the table of small subgraphs, exactly, unless it is the
-        one whose entry this search is filling. A node has td >= 1 + its
-        least degree (see the module docstring). Each branch asks the
-        components of its rest, through `solve_set`, only whether they beat
-        the current cap (the incumbent, or `ub` if lower), so most
+        entry. A node has td >= 1 + its least degree (see the module
+        docstring). At a node on at most `_SMALL_MAX_VERTICES` + 1 vertices
+        each branch reads its whole rest from the table. Elsewhere it asks
+        the components of its rest, through `solve_set`, only whether they
+        beat the current cap (the incumbent, or `ub` if lower), so most
         subproblems are never solved exactly. Whatever a branch
         learns bounds td(mask - v) from below, and so td(mask) too: once
         such a bound reaches the cap, the remaining branches are skipped.
@@ -487,16 +505,16 @@ class _Search:
         close the node, of each orbit of the mask's symmetries only the first
         vertex in branch order is a branch (see the module docstring).
         """
+        cnt = mask.bit_count()
+        if 2 < cnt <= _SMALL_MAX_VERTICES and mask != self.filling:
+            return self._small(mask)[0]
         memo = self.memo
         val = memo.get(mask)
         if val is not None:
             return val
         adj = self.adj
-        cnt = mask.bit_count()
         if cnt <= 2 or _is_clique(adj, mask):
             return cnt
-        if cnt <= _SMALL_MAX_VERTICES and mask != self.filling:
-            return self._small(mask)[0]
         known = self.lower.get(mask, 2)
         if self.parent is not None:
             up, lift = self.parent
@@ -533,16 +551,22 @@ class _Search:
         floor = _NO_BOUND
         chosen = -1  # the branch that last lowered the incumbent
         if lb < cap:
+            # A rest on 3 to _SMALL_MAX_VERTICES vertices is one table entry,
+            # connected or not.
+            small_rest = 3 < cnt <= _SMALL_MAX_VERTICES + 1
             skip = 0
             for v in order:
                 if skip >> v & 1:
                     continue
                 rest = mask ^ (1 << v)
-                # Only connected masks are memoized, so a hit is the value of
-                # the whole rest and needs no split.
-                worst = memo.get(rest)
-                if worst is None:
-                    worst = self.solve_set(_split(adj, rest, adj[v] & rest), cap - 1)
+                if small_rest:
+                    worst = self._small(rest)[0]
+                else:
+                    # Only connected masks are memoized, so a hit is the value
+                    # of the whole rest and needs no split.
+                    worst = memo.get(rest)
+                    if worst is None:
+                        worst = self.solve_set(_split(adj, rest, adj[v] & rest), cap - 1)
                 if 1 + worst < cap:
                     best = cap = 1 + worst
                     chosen = v
@@ -583,10 +607,17 @@ class _Search:
         # when a branch lowered the incumbent; otherwise a second pass finds
         # it as the first vertex whose components all lie below the optimum.
         # The orbit rule leaves out the same vertices as in the search; the
-        # first attaining vertex is never one. A small mask takes the labels
-        # its subgraph got when the table entry was filled.
-        adj = self.adj
+        # first attaining vertex is never one. A mask on 3 to
+        # `_SMALL_MAX_VERTICES` vertices, connected or not, takes the labels
+        # its table entry holds, and a rest of that size is not split.
         cnt = mask.bit_count()
+        if 2 < cnt <= _SMALL_MAX_VERTICES and mask != self.filling:
+            for label in self._small(mask)[1]:
+                low = mask & -mask
+                out[low.bit_length() - 1] = label
+                mask ^= low
+            return
+        adj = self.adj
         if cnt <= 2 or _is_clique(adj, mask):
             # what the scan picks: labels cnt, cnt - 1, ..., 1 in ascending order
             while mask:
@@ -595,17 +626,12 @@ class _Search:
                 cnt -= 1
                 mask ^= low
             return
-        if cnt <= _SMALL_MAX_VERTICES and mask != self.filling:
-            for label in self._small(mask)[1]:
-                low = mask & -mask
-                out[low.bit_length() - 1] = label
-                mask ^= low
-            return
+        small_rest = 3 < cnt <= _SMALL_MAX_VERTICES + 1
         v = self.pick.get(mask)
         if v is not None:
             out[v] = self.memo[mask]
             rest = mask ^ (1 << v)
-            for c in _split(adj, rest, adj[v] & rest):
+            for c in [rest] if small_rest else _split(adj, rest, adj[v] & rest):
                 self._witness_conn(c, out)
             return
         target = self.solve_conn(mask)
@@ -615,7 +641,7 @@ class _Search:
             if skip >> v & 1:
                 continue
             rest = mask ^ (1 << v)
-            comps = _split(adj, rest, adj[v] & rest)
+            comps = [rest] if small_rest else _split(adj, rest, adj[v] & rest)
             if all(self.solve_conn(c, target) < target for c in comps):
                 out[v] = target
                 for c in comps:
@@ -631,32 +657,42 @@ class _Search:
     def _small(self, mask: int) -> tuple[int, tuple[int, ...]]:
         """The table's entry for the subgraph on `mask`, filled by this search on a miss.
 
-        The fill is the mask's own exact solve and witness build, run while
-        `filling` names the mask so that both skip the table there; its nodes
-        count against this search's budget. The entry is written only once
-        both the value and the labels are known, so a budget stop leaves none.
+        The entries this search has read are kept by mask in `entries`, so
+        each key is computed once per call. The fill solves the components
+        of the mask exactly and builds their witnesses, side by side, while
+        `filling` names the mask so that a connected mask skips the table
+        there; its nodes count against this search's budget. The entry is
+        written only once both the value and the labels are known, so a
+        budget stop leaves none.
         """
-        self.reads += 1
+        entry = self.entries.get(mask)
+        if entry is not None:
+            return entry
         key = _small_key(self.adj, mask)
         entry = _small_table.get(key)
         if entry is None:
             outer = self.filling
             self.filling = mask
             try:
-                value = self.solve_conn(mask)
-                out: dict[int, int] = {}
-                self._witness_conn(mask, out)
+                value, out = self._solve_whole(mask)
             finally:
                 self.filling = outer
             entry = _small_table[key] = (value, tuple(out[v] for v in bit_indices(mask)))
+        self.entries[mask] = entry
         return entry
 
-    def certificate(self) -> TdCertificate:
-        comps = component_masks(self.adj, (1 << self.n) - 1)
+    def _solve_whole(self, mask: int) -> tuple[int, dict[int, int]]:
+        """Exact tree-depth of the subgraph on `mask`, connected or not, and
+        the witness labels of its vertices: its components' side by side."""
+        comps = component_masks(self.adj, mask)
         value = self.solve_set(comps)
         out: dict[int, int] = {}
         for c in comps:
             self._witness_conn(c, out)
+        return value, out
+
+    def certificate(self) -> TdCertificate:
+        value, out = self._solve_whole((1 << self.n) - 1)
         labels = tuple(out[v] for v in range(self.n))
         return TdCertificate(value, Ranking(labels, value), self.stats())
 
@@ -842,20 +878,25 @@ def treedepth_le(g: Graph, k: int, config: SolverConfig | None = None) -> bool:
     """Decision form: is td(g) <= k? A search bounded at k + 1 on the shared stores.
 
     No certificate is built: each component is only asked whether it beats
-    k + 1, and the search stops at the first one that does not.
+    k + 1, and the search stops at the first one that does not. A graph on
+    more than `_SMALL_MAX_VERTICES` vertices is first tried against `bounds`;
+    the components of a smaller one are closed forms or table reads, so it
+    computes bounds only when a budget stops its search, as `treedepth` does.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    quick = bounds(g)  # 1 <= lower and upper <= n decide k = 0 and k >= n
-    if quick.upper <= k:
-        return True
-    if quick.lower > k:
-        return False
+    quick = None
+    if g.n > _SMALL_MAX_VERTICES:
+        quick = bounds(g)  # 1 <= lower and upper <= n decide k = 0 and k >= n
+        if quick.upper <= k:
+            return True
+        if quick.lower > k:
+            return False
     search = _Search(g, config or DEFAULT_CONFIG, _solved_for(g))
     try:
         return search.solve_set(component_masks(g.adj, g.full_mask()), k + 1) <= k
     except _BudgetHit as hit:
-        raise BudgetExceededError(str(hit), quick, search.stats()) from None
+        raise BudgetExceededError(str(hit), quick or bounds(g), search.stats()) from None
 
 
 def _max_clique(adj: tuple[int, ...], mask: int) -> int:

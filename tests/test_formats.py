@@ -141,6 +141,8 @@ def test_graph6_rejects_bad_input():
         ("Dh c", "invalid graph6 character ' ' (line 1, column 3)"),
         ("B\u00e9", "invalid graph6 character '\u00e9' (line 1, column 2)"),
         ("B\x7f", "invalid graph6 character '\\x7f' (line 1, column 2)"),
+        # the first bad character is named, not the lowest or the highest
+        ("Dh\u00e9!", "invalid graph6 character '\u00e9' (line 1, column 3)"),
         ("Bgg", "graph6 body for n=3 needs 1 characters, found 2 (line 1)"),
         ("B", "graph6 body for n=3 needs 1 characters, found 0 (line 1)"),
         (long63[:-1], "graph6 body for n=63 needs 326 characters, found 325 (line 1)"),

@@ -30,6 +30,11 @@ def test_ranking_validates_labels():
         Ranking((1, 3), 2)
     with pytest.raises(ValueError):
         Ranking((1,), 0)
+    # the first label out of range is named, not the lowest or the highest
+    with pytest.raises(ValueError, match=r"^label 3 of vertex 1 outside 1\.\.2$"):
+        Ranking((1, 3, 0, 4), 2)
+    with pytest.raises(ValueError, match=r"^label 0 of vertex 2 outside 1\.\.4$"):
+        Ranking((1, 3, 0, 4), 4)
 
 
 def test_ranking_is_an_immutable_value():

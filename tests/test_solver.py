@@ -285,30 +285,68 @@ def pattern_graph(key):
 
 
 def assert_table_valid(monkeypatch):
-    # Each entry is the oracle's value of a connected non-clique, with a
-    # verified witness that is the one a search without the table builds.
+    # Each entry, connected or not, is the oracle's value with a verified
+    # witness that is the one a search without the table builds.
     entries = dict(solver._small_table)
     with monkeypatch.context() as m:
         m.setattr(solver, "_SMALL_MAX_VERTICES", 2)
         for key, (value, labels) in entries.items():
             g = pattern_graph(key)
             assert _small_key(g.adj, g.full_mask()) == key
-            assert component_masks(g.adj, g.full_mask()) == [g.full_mask()]
-            assert len(g.edges()) < g.n * (g.n - 1) // 2, g
             assert value == brute_force_td(g), g
             assert verify_ranking(g, Ranking(labels, value)) is None, g
             assert labels == fresh_cert(g).witness.labels, g
 
 
+def all_small_keys():
+    # the key of every labeled graph on 3 to 5 vertices, connected or not
+    return {
+        _small_key(g.adj, g.full_mask())
+        for n in range(3, 6)
+        for g in iter_labeled_graphs(n, connected_only=False)
+    }
+
+
 def test_table_of_small_subgraphs_is_exact_and_bounded(monkeypatch):
-    # Every labeled connected non-clique on 3 to 5 vertices is solved at its
-    # own top level, so after all connected graphs on at most 6 vertices the
-    # table holds each of them, and nothing else.
+    # Every connected graph on 3 to 5 vertices is read at its own top level,
+    # and every graph on 3 to 5 vertices, connected or not, is the rest of a
+    # branch of some graph one vertex larger, so after all connected graphs
+    # on at most 6 vertices the table holds every labeled graph on 3 to 5
+    # vertices: 2^3 + 2^6 + 2^10 entries, and nothing else.
     for n in range(1, 7):
         for g in iter_labeled_graphs(n):
             treedepth(g)
-    assert len(solver._small_table) == 3 + 37 + 727
+    assert len(solver._small_table) == 8 + 64 + 1024
+    assert set(solver._small_table) == all_small_keys()
     assert_table_valid(monkeypatch)
+
+
+def test_disconnected_entries_are_their_components_side_by_side():
+    # A disconnected entry holds the largest value of its components and
+    # each component's labels at its own positions: those of the
+    # component's entry, or the closed form of at most 2 vertices.
+    disconnected = 0
+    for n in range(3, 6):
+        for g in iter_labeled_graphs(n, connected_only=False):
+            full = g.full_mask()
+            value, labels = _Search(g, DEFAULT_CONFIG, _Solved())._small(full)
+            comps = component_masks(g.adj, full)
+            if len(comps) == 1:
+                continue
+            disconnected += 1
+            values = []
+            want = {}
+            for c in comps:
+                k = c.bit_count()
+                if k >= 3:
+                    part, part_labels = solver._small_table[_small_key(g.adj, c)]
+                else:
+                    part, part_labels = k, tuple(range(k, 0, -1))
+                values.append(part)
+                want.update(zip(bit_indices(c), part_labels))
+            assert value == max(values), g
+            assert labels == tuple(want[v] for v in range(n)), g
+    assert disconnected == 4 + 26 + 296
 
 
 def history_graphs():
@@ -522,17 +560,18 @@ def test_small_subproblem_rules_against_the_oracle(oracle_td):
 
 
 def test_small_subgraphs_cost_a_node_only_in_their_first_solve():
-    # path(3) is neither a clique nor on at most 2 vertices, so its solve
-    # reads the table of small subgraphs. The first solve in a process fills
-    # the entry at one node; a later one, on a new path(3) object with empty
-    # stores, reads it at none and gives the same witness.
+    # path(3) has 3 vertices, so its solve reads the table of small
+    # subgraphs. The first solve in a process fills the entry at one node; a
+    # later one, on a new path(3) object with empty stores, reads it at none
+    # and gives the same witness. The witness takes the labels of the entry
+    # the value came from, so each call reads one entry.
     first = treedepth(path(3))
     assert (first.value, first.stats.nodes) == (2, 1)
     assert _small_key(path(3).adj, path(3).full_mask()) in solver._small_table
     again = treedepth(path(3))
     assert (again.value, again.stats.nodes) == (2, 0)
     assert again.witness == first.witness
-    assert first.stats.table_reads == again.stats.table_reads == 2
+    assert first.stats.table_reads == again.stats.table_reads == 1
 
 
 def test_inherited_solves_match_fresh_solves():
