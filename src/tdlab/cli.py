@@ -130,8 +130,7 @@ def _solver_options() -> argparse.ArgumentParser:
     p.add_argument(
         "--node-budget", type=_count,
         help="abort with bounds after this many expanded nodes "
-        "(cliques, subgraphs of at most 2 vertices, and subgraphs of "
-        "at most 5 vertices already settled in this process are not nodes)",
+        "(cliques and subgraphs of at most 5 vertices are not nodes)",
     )
     p.add_argument(
         "--time-budget", type=_seconds,

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .graphs import Graph, apply_minor_step, one_step_minor_steps
-from .critical import one_unique_direct, one_unique_starclique
+from .critical import uniqueness_report
 from .solver import brute_force_td, treedepth
 
 
@@ -52,19 +52,19 @@ def oracle_equivalence_suite(max_n: int = 5) -> tuple[bool, str]:
 
 
 def uniqueness_cross_validation_suite(max_n: int = 5) -> tuple[bool, str]:
-    """Transform method == direct search on all connected labeled graphs <= max_n."""
+    """Transform method == direct search on all connected labeled graphs <= max_n.
+
+    `uniqueness_report` runs both methods on every vertex and raises on a
+    disagreement; only vertices the direct search decided are counted.
+    """
     checked = 0
     for n in range(2, max_n + 1):
         for g in iter_labeled_graphs(n):
-            for v in range(n):
-                by_transform = one_unique_starclique(g, v) is not None
-                by_direct = one_unique_direct(g, v) is not None
-                if by_transform != by_direct:
-                    return False, (
-                        f"transform={by_transform} direct={by_direct} "
-                        f"at vertex {v} of {g!r}"
-                    )
-                checked += 1
+            try:
+                report = uniqueness_report(g)
+            except RuntimeError as err:
+                return False, f"{err} on {g!r}"
+            checked += sum(u.by_direct is not None for u in report.per_vertex)
     return True, f"{checked} vertex checks up to {max_n} vertices"
 
 

@@ -67,13 +67,14 @@ subgraph itself rather than by a graph and a mask. A search reads it for a
 subproblem of that size before its stores and the clique test, and at a
 node on at most 6 vertices each branch reads its whole rest, connected or
 not, with one table read: no split and no solve per component. On a miss
-the search fills the entry itself: an exact solve of each component of the
-mask and its witness build, whose nodes count against that search's
-budget. A disconnected entry holds the largest of its components' values
-and their labels side by side, which is what the split and the witness
-rebuild of the components give. The entry is written only once both are
-known. Neither can depend on which graph the mask came from: the branch
-order inside a mask is by degree inside it and then by index, and
+a search of its own, on empty stores and without budgets or generators,
+solves each component of the mask exactly and builds its witness. None of
+its nodes, store entries or reads is the caller's, so no count of a call
+and no store entry depends on what the process solved before. A
+disconnected entry holds the largest of its components' values and their
+labels side by side, as the split and the witness rebuild give them. No
+entry can depend on which graph the mask came from: the branch order
+inside a mask is by degree inside it and then by index, and
 relabeling by position keeps both. An exact value answers every bounded
 query, and tree-depth is monotone on subgraphs, so a branch may learn the
 exact value of its rest where a split would have stopped at the first
@@ -153,10 +154,10 @@ class SolverConfig(NamedTuple):
     from empty stores. Subproblems on at most 2 vertices and
     cliques are answered in closed form: they are neither nodes nor store
     entries, so they spend no budget. Nor are subgraphs on 3 to 5 vertices,
-    subproblems or the rests of branches, connected or not, whose labeled
-    subgraph this process has already settled, in any graph: they are read
+    subproblems or the rests of branches, connected or not: they are read
     from the process-wide table of small subgraphs (see the module
-    docstring), which no capacity counts. A node with a
+    docstring), which no capacity counts and whose missing entries are
+    filled outside the call's budget. A node with a
     vertex adjacent to all others branches on that vertex alone.
     """
 
@@ -175,8 +176,8 @@ class SolverStats(NamedTuple):
     module docstring): vertices of an expanded node's branch order that an
     earlier vertex of their orbit stood for. `table_reads` counts the
     distinct subgraphs (masks) the call read from the table of small
-    subgraphs, fills included; the witness rebuild reads them again from
-    the call's own copy, which no count includes.
+    subgraphs; a fill's reads and the witness rebuild's, from the call's
+    own copy, are not counted, so no count depends on what the table held.
     """
 
     nodes: int
@@ -392,7 +393,7 @@ class _Search:
         self.skips = 0
         # The table entries this call has read, by mask (see `_small`).
         self.entries: dict[int, tuple[int, tuple[int, ...]]] = {}
-        # The mask whose table entry this search is filling, which reads past the table.
+        # The mask whose table entry this search fills, which reads past the table.
         self.filling = 0
         self._start = time.monotonic()
         self._deadline = (
@@ -655,15 +656,14 @@ class _Search:
     # -- the table of small subgraphs -------------------------------------------
 
     def _small(self, mask: int) -> tuple[int, tuple[int, ...]]:
-        """The table's entry for the subgraph on `mask`, filled by this search on a miss.
+        """The table's entry for the subgraph on `mask`, filled on a miss.
 
         The entries this search has read are kept by mask in `entries`, so
-        each key is computed once per call. The fill solves the components
-        of the mask exactly and builds their witnesses, side by side, while
-        `filling` names the mask so that a connected mask skips the table
-        there; its nodes count against this search's budget. The entry is
-        written only once both the value and the labels are known, so a
-        budget stop leaves none.
+        each key is computed once per call. A fill is a search of its own
+        on empty stores, with no budget and no generators, whose `filling`
+        names the mask so that a connected mask skips the table there; its
+        nodes and store entries are not this search's, so this search counts
+        and spends the same whatever the table held.
         """
         entry = self.entries.get(mask)
         if entry is not None:
@@ -671,12 +671,9 @@ class _Search:
         key = _small_key(self.adj, mask)
         entry = _small_table.get(key)
         if entry is None:
-            outer = self.filling
-            self.filling = mask
-            try:
-                value, out = self._solve_whole(mask)
-            finally:
-                self.filling = outer
+            fill = _Search(self.g, DEFAULT_CONFIG, _Solved([]))
+            fill.filling = mask
+            value, out = fill._solve_whole(mask)
             entry = _small_table[key] = (value, tuple(out[v] for v in bit_indices(mask)))
         self.entries[mask] = entry
         return entry

@@ -1,5 +1,7 @@
 """Criticality reports, 1-uniqueness methods, and the family reproduction."""
 
+from pathlib import Path
+
 import pytest
 
 from tdlab import critical, solver
@@ -11,9 +13,13 @@ from tdlab.critical import (
     reproduce,
     uniqueness_report,
 )
-from tdlab.graphs import Graph, complete, cycle, hn, path, star_clique
+from tdlab.formats import parse_graph6
+from tdlab.graphs import Graph, cartesian_k2, complete, cycle, hn, path, star_clique
 from tdlab.ranking import verify_ranking
-from tdlab.solver import SolverConfig, treedepth
+from tdlab.selftest import iter_labeled_graphs, uniqueness_cross_validation_suite
+from tdlab.solver import BudgetExceededError, SolverConfig, treedepth
+
+GNP16 = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "gnp16.txt"
 
 
 # -- is_critical ---------------------------------------------------------------
@@ -59,21 +65,23 @@ def test_is_critical_rejects_single_vertex():
 def test_is_critical_budget_marks_inconclusive():
     # The base graph is solved first, and each minor reads the subproblems
     # it shares with it from the base graph's memo; a budget below what the
-    # largest minor still has to search leaves some minors unsolved.
+    # largest minor still has to search leaves some minors unsolved. Budgets
+    # 4-6 each leave one minor unsolved, 7 finishes every minor.
     g = hn(5)[0]
     treedepth(g)
-    report = is_critical(g, SolverConfig(node_budget=8))
+    report = is_critical(g, SolverConfig(node_budget=6))
     assert report.is_critical is None
     assert report.inconclusive_steps
     assert not report.failing_steps
 
 
 def test_is_critical_failure_is_decisive_despite_budget():
-    g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3),
-                  (1, 4), (2, 3), (2, 4), (2, 5)])
-    # The budget is below what the largest minors need, even with the
-    # search bounded by each minor's incumbent: budgets 1-5 each leave a
-    # minor inconclusive, 6 finishes every minor.
+    # graph6 FTPeg: td 4, and every one of its 20 minors keeps td 4. The
+    # budget solves the base graph but is below what the largest minors
+    # need, even with the search bounded by each minor's incumbent: budgets
+    # 3-5 each leave a minor inconclusive, 6 finishes every minor.
+    g = Graph(7, [(0, 2), (0, 3), (0, 6), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5),
+                  (3, 6), (5, 6)])
     report = is_critical(g, SolverConfig(node_budget=3))
     assert report.inconclusive_steps
     assert report.failing_steps
@@ -247,17 +255,60 @@ def test_uniqueness_report_skips_direct_above_cap():
 
 
 def test_uniqueness_report_budget_inconclusive():
-    g = Graph(7, [(0, 1), (0, 2), (0, 4), (0, 6), (1, 2), (1, 6), (2, 6), (3, 5),
-                  (4, 5), (4, 6), (5, 6)])
-    # td(g) = 4. Enough to solve g, too little to decide whether the
-    # transforms at vertices 1 and 2 have td <= 3: their bounds are [3, 5], so
-    # the decision needs a search. Every other transform is settled by its
-    # bounds alone. Cliques, masks of at most 2 vertices and masks of at most 5
-    # that the table of small subgraphs already holds are not nodes.
+    # graph6 GPuPIG: td(g) = 4, and no vertex is 1-unique. Enough to solve g,
+    # too little to decide whether the transforms at vertices 1, 4, 6 and 7
+    # have td <= 3: their lower bound is 3, so the decision needs a search.
+    # Every other transform is settled by its bounds alone. Budgets 2-7 leave
+    # those four undecided, 8 decides every vertex.
+    g = Graph(8, [(0, 2), (0, 4), (0, 5), (1, 4), (1, 7), (2, 3), (2, 6), (3, 4),
+                  (3, 5), (5, 6), (5, 7)])
     report = uniqueness_report(g, SolverConfig(node_budget=3))
     assert report.graph_one_unique is None
     flagged = [u for u in report.per_vertex if u.one_unique is None]
     assert flagged and flagged[0].vertex == 1
+
+
+def test_budget_outcomes_do_not_depend_on_what_the_table_holds():
+    # Entries of the table of small subgraphs are filled outside the call's
+    # budget, so whether a report runs out, and where, is the same from an
+    # empty table and from one that every subgraph on 3 to 5 vertices has
+    # filled. Each call gets a new Graph object, so only the table carries over.
+    graphs = [hn(n)[0] for n in range(5, 10)] + [cartesian_k2(a) for a in range(3, 7)]
+    graphs += [parse_graph6("FTPeg"), parse_graph6("GPuPIG")]
+    for line in GNP16.read_text(encoding="ascii").splitlines():
+        if line and not line.startswith("#"):
+            graphs.append(parse_graph6(line.split()[1]))
+
+    def outcomes(cold):
+        got = []
+        for g in graphs:
+            for budget in range(41):
+                for report in (is_critical, uniqueness_report):
+                    if cold:
+                        solver._small_table.clear()
+                    try:
+                        got.append(report(Graph.from_adj(g.adj), SolverConfig(node_budget=budget)))
+                    except BudgetExceededError as exc:
+                        got.append((str(exc), exc.bounds, exc.stats._replace(elapsed=0.0)))
+        return got
+
+    from_empty = outcomes(cold=True)
+    for n in range(1, 7):
+        for g in iter_labeled_graphs(n):
+            treedepth(g)
+    assert len(solver._small_table) == 8 + 64 + 1024
+    assert outcomes(cold=False) == from_empty
+
+
+def test_cross_validation_suite_reports_a_disagreement(monkeypatch):
+    # The selftest suite drives uniqueness_report, whose comparison of the two
+    # methods is the one that catches a disagreement.
+    monkeypatch.setattr(critical, "one_unique_direct", lambda g, v, config=None: None)
+    ok, detail = uniqueness_cross_validation_suite(3)
+    assert not ok
+    assert detail.startswith(
+        "1-uniqueness methods disagree at vertex 0: transform=True direct=False on "
+    ), detail
 
 
 def test_uniqueness_report_rejects_single_vertex():

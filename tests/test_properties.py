@@ -1,0 +1,36 @@
+"""Property tests of the exact solver on random graphs of at most 8 vertices.
+
+They need hypothesis and are skipped without it. Examples are derandomized
+and bounded, so every run draws the same graphs.
+"""
+
+from itertools import combinations
+
+import pytest
+
+from tdlab.graphs import Graph
+from tdlab.ranking import verify_ranking
+from tdlab.solver import BRUTE_FORCE_MAX_VERTICES, brute_force_td, treedepth, treedepth_le
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, BRUTE_FORCE_MAX_VERTICES))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@hypothesis.given(graphs())
+def test_solver_value_witness_and_decision_form_agree_with_the_oracle(g):
+    cert = treedepth(g)
+    assert cert.value == brute_force_td(g)
+    assert cert.witness.max_label == cert.value
+    assert verify_ranking(g, cert.witness) is None
+    # each decision on a new object, so it searches instead of reading the solve
+    for k in range(g.n + 1):
+        assert treedepth_le(Graph.from_adj(g.adj), k) == (cert.value <= k), k

@@ -221,6 +221,12 @@ def test_witnesses_of_all_small_graphs_are_pinned():
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
+
+def small6_graphs():
+    lines = (PERFBENCH_INPUTS / "small6.txt").read_text().splitlines()
+    return [parse_graph6(line.split()[0]) for line in lines]
+
+
 # sha256 over "name td labels" lines of hn9, kak2_8 and the G(16, 0.3) pool
 # members named gnp16_<seed>, as computed before the branch loop's
 # subset-monotone cut.
@@ -251,26 +257,22 @@ class NoPicks(dict):
 def test_recorded_picks_give_the_scan_witness():
     # The vertex that last lowered a node's incumbent is the one the witness
     # scan finds (see the solver's module docstring), so building the witness
-    # from the recorded picks changes no label. Each side fills the table of
-    # small subgraphs itself, so its entries are built the same way.
-    small6 = (PERFBENCH_INPUTS / "small6.txt").read_text().splitlines()
-    graphs = [parse_graph6(line.split()[0]) for line in small6[::8]]
+    # from the recorded picks changes no label.
+    graphs = small6_graphs()[::8]
     graphs += [hn(n)[0] for n in range(5, 10)] + [cartesian_k2(a) for a in range(3, 9)]
     for line in (PERFBENCH_INPUTS / "gnp16.txt").read_text().splitlines():
         if line and not line.startswith("#"):
             graphs.append(parse_graph6(line.split()[1]))
     picked = 0
     for g in graphs:
-        solver._small_table.clear()
         cert = treedepth(g)
         solved = solver._solved_for(g)
         assert solved.pick.keys() <= solved.memo.keys()
         picked += len(solved.pick)
-        solver._small_table.clear()
         solved.pick = NoPicks()
         scanned = _Search(g, DEFAULT_CONFIG, solved).certificate()
         assert scanned.witness == cert.witness, format_graph6(g)
-    assert picked > len(graphs)
+    assert (len(graphs), picked) == (3454, 2936)
 
 
 # -- the table of small subgraphs ----------------------------------------------
@@ -354,49 +356,53 @@ def history_graphs():
     for line in (PERFBENCH_INPUTS / "gnp16.txt").read_text().splitlines():
         if line and not line.startswith("#"):
             graphs.append(parse_graph6(line.split()[1]))
-    small6 = (PERFBENCH_INPUTS / "small6.txt").read_text().splitlines()
-    return graphs + [parse_graph6(line.split()[0]) for line in small6[::50]]
+    return graphs + small6_graphs()[::8]
 
 
 def test_certificates_do_not_depend_on_what_the_table_holds():
-    # Each pass solves new Graph objects, so only the table carries over.
+    # A table entry is filled in a search of its own, so neither the value,
+    # the witness nor what the call counts depends on which entries earlier
+    # solves of the process left behind: the table empty before each solve,
+    # as a backward pass leaves it, or full after the small6 sweep. Each
+    # pass solves new Graph objects, so only the table carries over.
     def copies():
         return [Graph.from_adj(g.adj) for g in history_graphs()]
+
+    def outcome(cert):
+        # everything the call returns but its seconds
+        return cert.value, cert.witness, cert.stats._replace(elapsed=0.0)
 
     cold = []
     for g in copies():
         solver._small_table.clear()
-        cert = treedepth(g)
-        cold.append((cert.value, cert.witness))
+        cold.append(outcome(treedepth(g)))
     solver._small_table.clear()
-    backwards = [treedepth(g) for g in reversed(copies())][::-1]
-    # the table as the backward pass left it
-    warm = [treedepth(g) for g in copies()]
-    assert sum(c.stats.table_reads for c in warm) > 0
-    assert [(c.value, c.witness) for c in backwards] == cold
-    assert [(c.value, c.witness) for c in warm] == cold
+    backwards = [outcome(treedepth(g)) for g in reversed(copies())][::-1]
+    for g in small6_graphs():
+        treedepth(g)
+    assert len(solver._small_table) == 8 + 64 + 1024
+    warm = [outcome(treedepth(g)) for g in copies()]
+    assert sum(stats.table_reads for _, _, stats in warm) > 0
+    assert backwards == cold
+    assert warm == cold
 
 
-def test_budget_stops_inside_fills_leave_only_valid_entries(monkeypatch):
-    # A 5-vertex graph's whole search is the fill of its own entry, so every
-    # budget below what it needs from an empty table stops mid-fill, some
-    # inside a nested fill. No stop may leave a wrong or unfinished entry.
-    seen = {}
-    for g in iter_labeled_graphs(5):
+def test_zero_budgets_solve_every_small_graph_exactly(monkeypatch, oracle_td):
+    # A graph on 3 to 5 vertices, connected or not, is read from the table
+    # of small subgraphs, and a missing entry is filled outside the call's
+    # budget. So from an empty table, no node, no store entry and no time
+    # still gives each its exact certificate, and leaves only valid entries.
+    graphs = [g for n in range(3, 6) for g in iter_labeled_graphs(n, connected_only=False)]
+    for config in (
+        SolverConfig(node_budget=0), SolverConfig(memo_capacity=0), SolverConfig(time_budget=0.0)
+    ):
         solver._small_table.clear()
-        need = fresh_cert(g).stats.nodes
-        for budget in range(need):
-            solver._small_table.clear()
-            search = _Search(g, SolverConfig(node_budget=budget), _Solved())
-            with pytest.raises(solver._BudgetHit):
-                search.certificate()
-            assert search.filling == 0
-            assert _small_key(g.adj, g.full_mask()) not in solver._small_table
-            for key, entry in solver._small_table.items():
-                assert seen.setdefault(key, entry) == entry
-    assert seen
-    solver._small_table.clear()
-    solver._small_table.update(seen)
+        for g in graphs:
+            cert = treedepth(Graph.from_adj(g.adj), config)
+            assert cert.value == oracle_td(g), g
+            assert cert.witness.max_label == cert.value, g
+            assert verify_ranking(g, cert.witness) is None, g
+            assert (cert.stats.nodes, cert.stats.memo_entries) == (0, 0), g
     assert_table_valid(monkeypatch)
 
 
@@ -559,17 +565,19 @@ def test_small_subproblem_rules_against_the_oracle(oracle_td):
             assert value >= 1 + min(degrees), g
 
 
-def test_small_subgraphs_cost_a_node_only_in_their_first_solve():
+def test_small_subgraphs_never_cost_a_node():
     # path(3) has 3 vertices, so its solve reads the table of small
-    # subgraphs. The first solve in a process fills the entry at one node; a
-    # later one, on a new path(3) object with empty stores, reads it at none
-    # and gives the same witness. The witness takes the labels of the entry
-    # the value came from, so each call reads one entry.
+    # subgraphs. From an empty table the first solve fills the entry in a
+    # search of its own, whose node is not the call's; a later one, on a new
+    # path(3) object with empty stores, reads it. Both cost no node and give
+    # the same witness, which takes the labels of the entry the value came
+    # from, so each call reads one entry.
+    solver._small_table.clear()
     first = treedepth(path(3))
-    assert (first.value, first.stats.nodes) == (2, 1)
     assert _small_key(path(3).adj, path(3).full_mask()) in solver._small_table
     again = treedepth(path(3))
-    assert (again.value, again.stats.nodes) == (2, 0)
+    assert (first.value, first.stats.nodes, first.stats.memo_entries) == (2, 0, 0)
+    assert (again.value, again.stats.nodes, again.stats.memo_entries) == (2, 0, 0)
     assert again.witness == first.witness
     assert first.stats.table_reads == again.stats.table_reads == 1
 
@@ -602,11 +610,7 @@ def test_derived_solve_reads_a_deleted_parent():
     del g
     gc.collect()
     assert parent() is None
-    # A warm table of small subgraphs would make the fresh search as cheap,
-    # so each solve starts from an empty one.
-    solver._small_table.clear()
     cert = treedepth(h)
-    solver._small_table.clear()
     want = fresh_cert(h)
     assert cert.value == want.value and cert.witness == want.witness
     assert cert.stats.nodes < want.stats.nodes
