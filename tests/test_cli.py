@@ -229,6 +229,15 @@ def test_critical_command(tmp_path, capsys):
     assert "verdict: critical" in out
 
 
+def test_critical_json_of_kak2_4_matches_the_pinned_report(capsys):
+    # kak2(4) has 8 vertices, so its report groups the steps by an
+    # automorphism search of its own; CI compares its stdout with the same file.
+    code, out, _ = run(capsys, ["critical", "--json", str(PERFBENCH / "inputs" / "kak2_4.g6")])
+    assert code == 0
+    want = (Path(__file__).resolve().parent / "critical_kak2_4.json").read_text(encoding="ascii")
+    assert out == want
+
+
 def test_critical_json(tmp_path, capsys):
     code, out, _ = run(capsys, ["critical", write_graph(tmp_path, path(3)), "--json"])
     assert code == 0

@@ -14,10 +14,21 @@ from tdlab.critical import (
     uniqueness_report,
 )
 from tdlab.formats import parse_graph6
-from tdlab.graphs import Graph, cartesian_k2, complete, cycle, hn, path, star_clique
+from tdlab.graphs import (
+    Graph,
+    apply_minor_step,
+    cartesian_k2,
+    complete,
+    cycle,
+    hn,
+    is_isomorphic,
+    one_step_minor_steps,
+    path,
+    star_clique,
+)
 from tdlab.ranking import verify_ranking
 from tdlab.selftest import iter_labeled_graphs, uniqueness_cross_validation_suite
-from tdlab.solver import BudgetExceededError, SolverConfig, treedepth
+from tdlab.solver import BudgetExceededError, SolverConfig, derive, treedepth
 
 GNP16 = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "gnp16.txt"
 
@@ -66,7 +77,7 @@ def test_is_critical_budget_marks_inconclusive():
     # The base graph is solved first, and each minor reads the subproblems
     # it shares with it from the base graph's memo; a budget below what the
     # largest minor still has to search leaves some minors unsolved. Budgets
-    # 4-6 each leave one minor unsolved, 7 finishes every minor.
+    # 4-6 each leave one class of four minors unsolved, 7 finishes every minor.
     g = hn(5)[0]
     treedepth(g)
     report = is_critical(g, SolverConfig(node_budget=6))
@@ -314,6 +325,111 @@ def test_cross_validation_suite_reports_a_disagreement(monkeypatch):
 def test_uniqueness_report_rejects_single_vertex():
     with pytest.raises(ValueError):
         uniqueness_report(complete(1))
+
+
+# -- reports grouped by symmetry class ----------------------------------------------------------
+
+# hn(4..9) and kak2(3..7) take every source of generators in a report: none
+# below the size gate (kak2(3)), one search per report (hn(4), kak2(4)), and
+# the solver's own from 9 vertices on. Ip|IrppyW (10 vertices) and Gqcmv?
+# (8 vertices) have no automorphism, but steps that give identical minors.
+GROUPING_GRAPHS = (
+    [hn(n)[0] for n in range(4, 10)]
+    + [cartesian_k2(a) for a in range(3, 8)]
+    + [parse_graph6("Ip|IrppyW"), parse_graph6("Gqcmv?")]
+)
+# the number of step classes of each graph above
+GROUPING_CLASSES = [5] * 6 + [18] + [4] * 4 + [48, 23]
+
+
+def ungrouped_critical(g):
+    # each minor solved on a fresh Graph, which reads no store of g
+    return {step: treedepth(apply_minor_step(g, step)).value for step in one_step_minor_steps(g)}
+
+
+def ungrouped_uniqueness(g, config=None):
+    # both methods on every vertex of a fresh copy of g
+    g = Graph.from_adj(g.adj)
+    treedepth(g, config)
+    rows = []
+    for v in range(g.n):
+        try:
+            witness = one_unique_starclique(g, v, config)
+            direct = None
+            if g.n <= solver.BRUTE_FORCE_MAX_VERTICES:
+                direct = one_unique_direct(g, v, config) is not None
+        except BudgetExceededError:
+            rows.append((v, None, None, None))
+            continue
+        rows.append((v, witness is not None, direct, witness))
+    return tuple(rows)
+
+
+def test_grouped_reports_equal_ungrouped_references():
+    for g, classes in zip(GROUPING_GRAPHS, GROUPING_CLASSES):
+        steps = one_step_minor_steps(g)
+        firsts = critical._step_classes(g, steps)
+        assert len(set(firsts)) == classes, g
+        for step, first in zip(steps, firsts):
+            assert is_isomorphic(apply_minor_step(g, step), apply_minor_step(g, steps[first]))
+        report = is_critical(Graph.from_adj(g.adj))
+        assert report.steps == tuple(ungrouped_critical(g).items())
+        assert uniqueness_report(Graph.from_adj(g.adj)).per_vertex == ungrouped_uniqueness(g)
+
+
+def test_grouped_reports_under_budgets():
+    # A class of steps is inconclusive exactly when the solve of its first
+    # step runs out, and its other steps get the reference values. Vertices
+    # keep their ungrouped verdicts under every budget: each transform still
+    # runs on its own, and a direct search runs out only where g's solve does.
+    for g in GROUPING_GRAPHS:
+        steps = one_step_minor_steps(g)
+        firsts = critical._step_classes(g, steps)
+        want = ungrouped_critical(g)
+        for budget in range(41):
+            config = SolverConfig(node_budget=budget)
+            h = Graph.from_adj(g.adj)
+            try:
+                treedepth(h, config)
+            except BudgetExceededError:
+                for report in (is_critical, uniqueness_report):
+                    with pytest.raises(BudgetExceededError):
+                        report(Graph.from_adj(g.adj), config)
+                continue
+            runs_out = {}
+            for first in set(firsts):
+                try:
+                    treedepth(derive(h, steps[first]), config)
+                    runs_out[first] = False
+                except BudgetExceededError:
+                    runs_out[first] = True
+            report = is_critical(Graph.from_adj(g.adj), config)
+            assert report.inconclusive_steps == tuple(
+                s for s, f in zip(steps, firsts) if runs_out[f]
+            ), (g, budget)
+            assert report.steps == tuple(
+                (s, want[s]) for s, f in zip(steps, firsts) if not runs_out[f]
+            ), (g, budget)
+            got = uniqueness_report(Graph.from_adj(g.adj), config).per_vertex
+            assert got == ungrouped_uniqueness(g, config), (g, budget)
+
+
+def test_direct_search_runs_on_every_vertex_below_the_gate(monkeypatch):
+    # cycle(6) is below the gate of 7 vertices; cycle(7) and kak2(4) are
+    # vertex-transitive and not below it, so one direct search serves each.
+    calls = []
+    real = critical.one_unique_direct
+
+    def counted(g, v, config=None):
+        calls.append(v)
+        return real(g, v, config)
+
+    monkeypatch.setattr(critical, "one_unique_direct", counted)
+    for g, want in ((cycle(6), list(range(6))), (cycle(7), [0]), (cartesian_k2(4), [0])):
+        calls.clear()
+        per_vertex = uniqueness_report(g).per_vertex
+        assert calls == want
+        assert all(u.by_direct is not None and u.by_direct == u.one_unique for u in per_vertex)
 
 
 # -- reproduce ---------------------------------------------------------------------------------

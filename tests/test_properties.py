@@ -1,4 +1,5 @@
-"""Property tests of the exact solver on random graphs of at most 8 vertices.
+"""Property tests of the exact solver and of one-step minors on random graphs of
+at most 8 vertices.
 
 They need hypothesis and are skipped without it. Examples are derandomized
 and bounded, so every run draws the same graphs.
@@ -8,9 +9,21 @@ from itertools import combinations
 
 import pytest
 
-from tdlab.graphs import Graph
+from tdlab.graphs import (
+    Graph,
+    MinorStep,
+    apply_minor_step,
+    automorphism_generators,
+    one_step_minor_steps,
+)
 from tdlab.ranking import verify_ranking
-from tdlab.solver import BRUTE_FORCE_MAX_VERTICES, brute_force_td, treedepth, treedepth_le
+from tdlab.solver import (
+    BRUTE_FORCE_MAX_VERTICES,
+    brute_force_td,
+    derive,
+    treedepth,
+    treedepth_le,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -34,3 +47,25 @@ def test_solver_value_witness_and_decision_form_agree_with_the_oracle(g):
     # each decision on a new object, so it searches instead of reading the solve
     for k in range(g.n + 1):
         assert treedepth_le(Graph.from_adj(g.adj), k) == (cert.value <= k), k
+
+
+def step_image(step, perm):
+    # the same kind of step at the images of its vertices
+    if step.kind == "delete_vertex":
+        return MinorStep.del_vertex(perm[step.u])
+    make = MinorStep.del_edge if step.kind == "delete_edge" else MinorStep.contract
+    return make(perm[step.u], perm[step.v])
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(graphs())
+def test_one_step_minors_derived_fresh_and_under_automorphisms(g):
+    base = treedepth(g).value
+    steps = one_step_minor_steps(g)
+    fresh = {step: treedepth(apply_minor_step(g, step)).value for step in steps}
+    for step in steps:
+        assert treedepth(derive(g, step)).value == fresh[step], step
+        assert base - 1 <= fresh[step] <= base, step
+    for perm in automorphism_generators(g):
+        for step in steps:
+            assert fresh[step_image(step, perm)] == fresh[step], (perm, step)
