@@ -32,23 +32,14 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .graphs import (
-    Graph,
-    MinorStep,
-    apply_minor_step,
-    automorphism_generators,
-    hn,
-    one_step_minor_steps,
-)
+from .graphs import Graph, MinorStep, apply_minor_step, hn, one_step_minor_steps
 from .ranking import Ranking, hn_minor_witness, verify_ranking, witness_hn
 from .solver import (
-    _SYMMETRY_MIN_VERTICES,
     BRUTE_FORCE_MAX_VERTICES,
     BudgetExceededError,
     SolverConfig,
-    _generators,
-    _solved_for,
     derive,
+    generators,
     search_feasible_labeling,
     treedepth,
     treedepth_le,
@@ -73,31 +64,6 @@ class CriticalityReport(NamedTuple):
     failing_steps: tuple[StepResult, ...]
     inconclusive_steps: tuple[MinorStep, ...]
     is_critical: bool | None
-
-
-# Reports group their work by Aut(G) only on graphs with at least this many
-# vertices. Measured in-process (CPython 3.11, one core), against the direct
-# 1-uniqueness checks of every vertex: on all 26,704 connected labeled
-# 6-vertex graphs the automorphism search took 1.54 s and the checks 3.45 s,
-# and orbit representatives are 118,692 of the 160,224 vertices, so grouping
-# would save about 0.9 s for 1.5 s spent; on 225 random 7-vertex graphs the
-# search took 15 ms and the checks 110 ms (representatives 1,234 of 1,575),
-# and on 231 random 8-vertex graphs 18 ms and 688 ms (1,601 of 1,848).
-_GROUP_MIN_VERTICES = 7
-
-
-def _report_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Generators of the automorphisms a report groups g's work by.
-
-    None below `_GROUP_MIN_VERTICES` vertices. From `_SYMMETRY_MIN_VERTICES`
-    on, the ones the solver keeps in g's entry, which `derive` fetches
-    anyway, so no second search runs; in between, one search per report.
-    """
-    if g.n < _GROUP_MIN_VERTICES:
-        return []
-    if g.n >= _SYMMETRY_MIN_VERTICES:
-        return _generators(g, _solved_for(g))
-    return automorphism_generators(g)
 
 
 def _class_firsts(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -131,7 +97,7 @@ def _step_classes(g: Graph, steps: list[MinorStep]) -> list[int]:
     index = {step: i for i, step in enumerate(steps)}
     pairs = [
         (i, index[_step_image(step, perm)])
-        for perm in _report_generators(g)
+        for perm in generators(g)
         for i, step in enumerate(steps)
     ]
     seen: dict[tuple[int, ...], int] = {}
@@ -150,12 +116,12 @@ def is_critical(g: Graph, config: SolverConfig | None = None) -> CriticalityRepo
     one onto the other (the step at u, v onto the same kind of step at
     p[u], p[v], whose minor is isomorphic), or when both give the identical
     labeled minor (contract(0, m) and contract(m, c) in hn(n)); the classes
-    are the union of both relations over the generators of
-    `_report_generators`. On graphs below `_GROUP_MIN_VERTICES` (7)
-    vertices, where the automorphism search costs more than it saves, only
-    identical minors are grouped. A budget applies to each solve on its
-    own: when the solve of a class's first step runs out, every step of the
-    class is inconclusive.
+    are the union of both relations. The generators are the ones the solver
+    keeps in g's entry (`solver.generators`), which `derive` hands on to
+    every minor; on graphs below 7 vertices, where the automorphism search
+    costs more than it saves, there are none, and only identical minors are
+    grouped. A budget applies to each solve on its own: when the solve of a
+    class's first step runs out, every step of the class is inconclusive.
     """
     if g.n < 2:
         raise ValueError("criticality needs at least 2 vertices")
@@ -270,20 +236,21 @@ def uniqueness_report(
     is an internal error. The witness of a 1-unique vertex is the transform
     method's lifted optimal ranking.
 
-    Vertices in one orbit of the generators of `_report_generators` are
-    1-unique together, so the direct search runs once per orbit, on its
-    lowest vertex, and each vertex's transform verdict is compared with its
-    orbit's direct verdict. On graphs below `_GROUP_MIN_VERTICES` (7)
-    vertices, where the automorphism search costs more than it saves, the
-    direct search runs on every vertex. A budget applies to each solve on
-    its own, and a vertex whose transform runs out is inconclusive. The
-    direct search solves nothing but g, which the report has solved first,
-    so it does not run out.
+    Vertices in one orbit of the generators the solver keeps in g's entry
+    (`solver.generators`) are 1-unique together, so the direct search runs
+    once per orbit, on its lowest vertex, and each vertex's transform
+    verdict is compared with its orbit's direct verdict. The transforms are
+    built by `derive`, which hands the same generators on. On graphs below
+    7 vertices, where the automorphism search costs more than it saves,
+    there are none, and the direct search runs on every vertex. A budget
+    applies to each solve on its own, and a vertex whose transform runs out
+    is inconclusive. The direct search solves nothing but g, which the
+    report has solved first, so it does not run out.
     """
     _check_two_vertices(g)
     treedepth(g, config)  # a budget stop on g itself ends the whole report
     direct_in_range = g.n <= BRUTE_FORCE_MAX_VERTICES
-    gens = _report_generators(g) if direct_in_range else []
+    gens = generators(g) if direct_in_range else []
     firsts = _class_firsts(g.n, ((v, perm[v]) for perm in gens for v in range(g.n)))
     direct: dict[int, bool] = {}  # by the first vertex of each orbit
 

@@ -52,12 +52,16 @@ vertex of its orbit attains the optimum too, so it is that vertex. Witnesses
 are therefore those of the search without the rule. The orbits of a node
 are asked for only once its first branch has failed to close it; that
 vertex is the first of its orbit, so nothing it would have skipped changes.
-Two measured cost gates decide which graphs get generators
-(`_SYMMETRY_MIN_VERTICES`, `derive`): they are searched for only at a
-graph's first node whose first branch does not close it, and only on a
-graph with more than 8 vertices that `derive` did not build. A graph
-built by `derive` inherits those of its parent's generators that fix the
-dropped vertex and are automorphisms of it.
+One function, `generators`, owns a graph's generators: it searches for
+them at most once and keeps them in the graph's entry, and the search,
+`derive` and the reports of `tdlab.critical` all read them through it. Two
+measured size gates sit beside it. When a report or `derive` asks, a graph
+gets generators from 7 vertices on (`_GENERATORS_MIN_VERTICES`). A search
+on a graph that has none yet fetches them itself only from 9 vertices
+(`_LONE_SEARCH_MIN_VERTICES`), and only at its first node whose first branch
+does not close it. A graph built by `derive` never searches: it inherits
+those of its parent's generators that fix the dropped vertex and are
+automorphisms of it.
 
 Subgraphs on 3 to 5 vertices are settled once per process. Every search
 ends in them, and there are only 2^3 + 2^6 + 2^10 = 1,096 labeled graphs on
@@ -384,10 +388,10 @@ class _Search:
         self.pick = solved.pick
         self.parent = solved.parent
         # The generators' cycles, fetched at the first node whose first
-        # branch does not close it. A
-        # graph below the size gate that `derive` did not build has none.
+        # branch does not close it. A graph below the lone search's gate
+        # that no report or `derive` has given generators has none.
         self.cycles: tuple[list[int], ...] | None = (
-            () if solved.gens is None and g.n < _SYMMETRY_MIN_VERTICES else None
+            () if solved.gens is None and g.n < _LONE_SEARCH_MIN_VERTICES else None
         )
         self.nodes = 0
         self.skips = 0
@@ -440,7 +444,7 @@ class _Search:
         """
         cycles = self.cycles
         if cycles is None:
-            cycles = self.cycles = tuple(_cycle_masks(p) for p in _generators(self.g, self.solved))
+            cycles = self.cycles = tuple(_cycle_masks(p) for p in generators(self.g, self.solved))
         if not cycles:
             return 0
         orbits: list[int] = []
@@ -711,7 +715,7 @@ class _Solved:
     subgraph, or of the subgraph one step away. Holding the entry keeps the
     parent's stores readable after the parent graph itself is gone. `gens`
     are the automorphism generators the search branches by (see
-    `_generators`), None until they are first needed.
+    `generators`), None until they are first needed.
     """
 
     __slots__ = ("memo", "lower", "pick", "cert", "parent", "gens")
@@ -734,17 +738,38 @@ def _solved_for(g: Graph) -> _Solved:
     return solved
 
 
-# Generators are searched for only on graphs with at least this many
-# vertices. On the 27,476 connected graphs with at most 6 vertices, searching
-# on every graph cut the search nodes by only 23% (195,289 -> 149,489) and
-# took their in-process solves from 1.15 to 2.95 s (CPython 3.11, one core).
-_SYMMETRY_MIN_VERTICES = 9
+# `generators` searches for generators only on graphs with at least this
+# many vertices. The reports group their work by the orbits they give, and
+# `derive` hands them on. Measured in-process (CPython 3.11, one core),
+# against the direct 1-uniqueness checks of every vertex: on all 26,704
+# connected labeled 6-vertex graphs the automorphism search took 1.54 s and
+# the checks 3.45 s, and orbit representatives are 118,692 of the 160,224
+# vertices, so grouping would save about 0.9 s for 1.5 s spent; on 225
+# random 7-vertex graphs the search took 15 ms and the checks 110 ms
+# (representatives 1,234 of 1,575), and on 231 random 8-vertex graphs 18 ms
+# and 688 ms (1,601 of 1,848).
+_GENERATORS_MIN_VERTICES = 7
+
+# A search on a graph that no report or `derive` has given generators
+# fetches them itself only from this many vertices. On the 27,476 connected
+# graphs with at most 6 vertices, searching on every graph cut the search
+# nodes by only 23% (195,289 -> 149,489) and took their in-process solves
+# from 1.15 to 2.95 s. A gate of 7 here took the lone solves of 1,000 random
+# graphs on 7-8 vertices from 0.17-0.22 s to 0.27-0.33 s, the cost of their
+# automorphism searches (CPython 3.11, one core).
+_LONE_SEARCH_MIN_VERTICES = 9
 
 
-def _generators(g: Graph, solved: _Solved) -> list[tuple[int, ...]]:
-    """The generators kept in g's entry, searched for once if it has none yet."""
+def generators(g: Graph, solved: _Solved | None = None) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), kept in g's entry (or `solved`) and searched for once.
+
+    None are searched for below `_GENERATORS_MIN_VERTICES` vertices. A
+    graph built by `derive` already holds its inherited ones.
+    """
+    if solved is None:
+        solved = _solved_for(g)
     if solved.gens is None:
-        solved.gens = automorphism_generators(g) if g.n >= _SYMMETRY_MIN_VERTICES else []
+        solved.gens = automorphism_generators(g) if g.n >= _GENERATORS_MIN_VERTICES else []
     return solved.gens
 
 
@@ -814,7 +839,7 @@ def derive(g: Graph, step: MinorStep | int) -> Graph:
     entry.parent = (up, _inherit(g, h, drop))
     # Inherited, never searched: a search per minor took `is_critical(hn(7))`
     # from 9.6 to 30.8 ms in-process (CPython 3.11, one core).
-    entry.gens = _inherit_generators(_generators(g, up), h, drop)
+    entry.gens = _inherit_generators(generators(g, up), h, drop)
     return h
 
 
@@ -875,25 +900,20 @@ def treedepth_le(g: Graph, k: int, config: SolverConfig | None = None) -> bool:
     """Decision form: is td(g) <= k? A search bounded at k + 1 on the shared stores.
 
     No certificate is built: each component is only asked whether it beats
-    k + 1, and the search stops at the first one that does not. A graph on
-    more than `_SMALL_MAX_VERTICES` vertices is first tried against `bounds`;
-    the components of a smaller one are closed forms or table reads, so it
-    computes bounds only when a budget stops its search, as `treedepth` does.
+    k + 1, and the search stops at the first one that does not. The search
+    alone decides; `bounds` is computed only when a budget stops it, as
+    `treedepth` does, and answers when it settles k.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    quick = None
-    if g.n > _SMALL_MAX_VERTICES:
-        quick = bounds(g)  # 1 <= lower and upper <= n decide k = 0 and k >= n
-        if quick.upper <= k:
-            return True
-        if quick.lower > k:
-            return False
     search = _Search(g, config or DEFAULT_CONFIG, _solved_for(g))
     try:
         return search.solve_set(component_masks(g.adj, g.full_mask()), k + 1) <= k
     except _BudgetHit as hit:
-        raise BudgetExceededError(str(hit), quick or bounds(g), search.stats()) from None
+        quick = bounds(g)
+        if quick.upper <= k or quick.lower > k:
+            return quick.upper <= k
+        raise BudgetExceededError(str(hit), quick, search.stats()) from None
 
 
 def _max_clique(adj: tuple[int, ...], mask: int) -> int:

@@ -269,8 +269,9 @@ def test_uniqueness_report_budget_inconclusive():
     # graph6 GPuPIG: td(g) = 4, and no vertex is 1-unique. Enough to solve g,
     # too little to decide whether the transforms at vertices 1, 4, 6 and 7
     # have td <= 3: their lower bound is 3, so the decision needs a search.
-    # Every other transform is settled by its bounds alone. Budgets 2-7 leave
-    # those four undecided, 8 decides every vertex.
+    # Every other transform is settled within the budget or, when it runs
+    # out, by its bounds. Budgets 2-6 leave those four undecided, 7 decides
+    # every vertex.
     g = Graph(8, [(0, 2), (0, 4), (0, 5), (1, 4), (1, 7), (2, 3), (2, 6), (3, 4),
                   (3, 5), (5, 6), (5, 7)])
     report = uniqueness_report(g, SolverConfig(node_budget=3))

@@ -766,6 +766,19 @@ def test_node_budget_exhaustion_reports_bounds():
     assert err.value.stats.nodes == 3
 
 
+def test_treedepth_le_budget_stop_answers_when_bounds_settle_k():
+    # The bounded search alone decides; when a budget stops it, `bounds`
+    # answers if it settles k, as a budget stop of `treedepth` returns a
+    # value the bounds pin. hn(5): bounds [4, 7], td 6.
+    zero = SolverConfig(node_budget=0)
+    assert treedepth_le(hn(5)[0], 7, zero)
+    assert not treedepth_le(hn(5)[0], 3, zero)
+    with pytest.raises(BudgetExceededError) as err:
+        treedepth_le(hn(5)[0], 5, zero)
+    assert err.value.bounds == Bounds(4, 7)
+    assert err.value.stats.nodes == 0
+
+
 def test_time_budget_exhaustion():
     g = cartesian_k2(7)
     with pytest.raises(BudgetExceededError):

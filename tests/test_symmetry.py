@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from tdlab import solver
+from tdlab.critical import is_critical, uniqueness_report
 from tdlab.formats import parse_graph6
 from tdlab.graphs import (
     Graph,
@@ -155,18 +156,26 @@ def test_generators_form_a_strong_generating_set():
         assert orbits(g.n, gens) == orbits(g.n, group), g
 
 
-@pytest.mark.parametrize("g", [hn(7)[0], cartesian_k2(5)], ids=["hn7", "kak2_5"])
+@pytest.mark.parametrize(
+    "g",
+    [hn(7)[0], cartesian_k2(5), cartesian_k2(4), hn(4)[0]],
+    ids=["hn7", "kak2_5", "kak2_4", "hn4"],
+)
 def test_inherited_generators_are_automorphisms_of_the_derived_graph(g):
     # A derived graph never searches; it keeps the parent's generators that
-    # fix the dropped vertex and are automorphisms of it, re-indexed.
+    # fix the dropped vertex and are automorphisms of it, re-indexed. Parents
+    # from 7 vertices on hand some on.
     parent = automorphism_generators(g)
     assert parent
+    inherited = 0
     for step in one_step_minor_steps(g) + list(range(g.n)):
         h = derive(g, step)
         gens = solver._solved_for(h).gens
         assert gens is not None, step
+        inherited += len(gens)
         for perm in gens:
             assert is_automorphism(h, perm), (step, perm)
+    assert inherited > 0
     # the hub transform of hn(7) is kak2(6); it keeps the clique symmetries of hn(7)
     if g.n == 13:
         h = derive(g, 0)
@@ -225,6 +234,24 @@ def test_complete_bipartite_closes_before_any_generator_search(a):
     assert cert.value == a + 1
     assert cert.stats.nodes == a
     assert solver._solved_for(g).gens is None
+
+
+@pytest.mark.parametrize("build", [lambda: cartesian_k2(4), lambda: hn(4)[0]], ids=["kak2_4", "hn4"])
+def test_both_reports_on_one_graph_search_its_generators_once(monkeypatch, build):
+    # is_critical, uniqueness_report and every derive read the generators
+    # kept in g's entry, so a 7- or 8-vertex graph is searched once.
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return automorphism_generators(h)
+
+    monkeypatch.setattr(solver, "automorphism_generators", counted)
+    g = build()
+    is_critical(g)
+    uniqueness_report(g)
+    assert len(calls) == 1 and calls[0] is g
+    assert solver._solved_for(g).gens == automorphism_generators(g)
 
 
 def test_generators_are_searched_only_for_large_underived_graphs():
