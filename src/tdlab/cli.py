@@ -22,6 +22,7 @@ from .critical import (
     CriticalityReport,
     FamilyRow,
     UniquenessReport,
+    VertexUniqueness,
     is_critical,
     reproduce,
     uniqueness_report,
@@ -290,7 +291,9 @@ def cmd_critical(args: argparse.Namespace) -> int:
     return EXIT_BUDGET if report.is_critical is None else EXIT_OK
 
 
-def _uniqueness_doc(report: UniquenessReport) -> dict:
+def _uniqueness_doc(
+    report: UniquenessReport, selected: tuple[VertexUniqueness, ...]
+) -> dict:
     return {
         "one_unique": report.graph_one_unique,
         "non_1_unique": list(report.non_one_unique),
@@ -303,7 +306,7 @@ def _uniqueness_doc(report: UniquenessReport) -> dict:
                 "by_direct": u.by_direct,
                 "witness": None if u.witness is None else list(u.witness.labels),
             }
-            for u in report.per_vertex
+            for u in selected
         ],
     }
 
@@ -319,10 +322,7 @@ def cmd_unique1(args: argparse.Namespace) -> int:
     if args.vertex is not None:
         selected = tuple(u for u in report.per_vertex if u.vertex == args.vertex)
     if args.json:
-        doc = _uniqueness_doc(report)
-        if args.vertex is not None:
-            doc["vertices"] = [d for d in doc["vertices"] if d["vertex"] == args.vertex]
-        _emit_json(doc)
+        _emit_json(_uniqueness_doc(report, selected))
     else:
         print(f"{'vertex':>6} {'1-unique':>9} {'transform':>10} {'direct':>7}")
         fmt = {True: "yes", False: "no", None: "-"}

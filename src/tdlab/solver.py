@@ -46,12 +46,12 @@ the group generated by the generators that map the mask onto itself. That
 group is a subgroup of Aut(G[mask]), and any subgroup is sound: its orbits
 are only finer than the true ones, and each vertex left out has the value of
 the kept vertex that stands for it, so every value and bound is unchanged.
-The witness rebuild uses the same rule. The vertex it picks, the first in
-branch order whose removal attains the optimum, is always kept: the first
-vertex of its orbit attains the optimum too, so it is that vertex. Witnesses
-are therefore those of the search without the rule. The orbits of a node
-are asked for only once its first branch has failed to close it; that
-vertex is the first of its orbit, so nothing it would have skipped changes.
+The rule never skips the first vertex in branch order whose removal attains
+the optimum: the first vertex of its orbit attains it too, so it is that
+vertex. Witnesses are therefore those of the search without the rule (see
+the witness below). The orbits of a node are asked for only once its first
+branch has failed to close it; that vertex is the first of its orbit, so
+nothing it would have skipped changes.
 One function, `generators`, owns a graph's generators: it searches for
 them at most once and keeps them in the graph's entry, and the search,
 `derive` and the reports of `tdlab.critical` all read them through it. Two
@@ -105,21 +105,23 @@ Determinism: branch order is decreasing degree with lowest index breaking
 ties, and the witness assigns the removed vertex the highest rank of its
 subproblem, so identical inputs always produce identical certificates.
 
-The witness is built from the branches the search chose. When a node writes
-its exact value and some branch lowered its incumbent, the vertex v that did
-so last is kept beside it (`_Solved.pick`), and the witness gives v the
-node's value and recurses into the components of mask - v. Every other mask
-(the DFS height was never beaten, the lower bound met the cap before any
-branch improved, or the value was copied from a parent by `derive`) is
-rebuilt by a scan: the first vertex in branch order, after the orbit rule,
-whose removal attains td(mask). Both give the same vertex. v attains
+The witness is the canonical elimination: the first vertex in branch order
+whose removal attains td(mask) gets the mask's value, and the witness
+recurses into the components of the rest. When a node writes its exact
+value and some branch lowered its incumbent, the vertex v that did so last
+is kept beside it (`_Solved.pick`), and the witness takes v. Every other
+mask (the DFS height was never beaten, the lower bound met the cap before
+any branch improved, or the value was copied from a parent by `derive`) is
+rebuilt by a scan of the branch order for the first vertex whose rest has
+every component below td(mask). Both give the same vertex. v attains
 td(mask): its branch was answered exactly below the cap, and the incumbent
-it set is the node's value. Take any earlier kept vertex w, tried under the
-cap c_w. Either its branch proved td(mask - w) >= c_w - 1, or it lowered the
-incumbent to 1 + td(mask - w). In both cases a later branch lowered the
-incumbent further, to td(mask), so td(mask - w) >= td(mask) and w does not
-attain it. The scan skips exactly the vertices the search skipped, because
-both compute the orbits once `order[0]` has failed.
+it set is the node's value. So the first attaining vertex a comes no later
+than v, and the loop reached it. The cap ends at td(mask), lowered there by
+v, and a branch lowers it to td(mask) only if it attains. So if a was
+tried, the cap was still above td(mask), a lowered it to td(mask), and no
+later branch went below: v is a. The one property every rule that prunes
+the branch loop must keep is therefore that it never skips the first
+attaining vertex; the orbit rule keeps it (see above).
 """
 
 from __future__ import annotations
@@ -373,25 +375,27 @@ class _Search:
     """
 
     __slots__ = (
-        "g", "adj", "n", "config", "solved", "memo", "lower", "pick", "parent", "cycles",
+        "g", "adj", "config", "memo", "lower", "pick", "parent", "cycles",
         "nodes", "skips", "entries", "filling", "_start", "_deadline",
     )
 
     def __init__(self, g: Graph, config: SolverConfig, solved: _Solved):
         self.g = g
         self.adj = g.adj
-        self.n = g.n
         self.config = config
-        self.solved = solved
         self.memo = solved.memo
         self.lower = solved.lower
         self.pick = solved.pick
         self.parent = solved.parent
-        # The generators' cycles, fetched at the first node whose first
-        # branch does not close it. A graph below the lone search's gate
-        # that no report or `derive` has given generators has none.
+        # The cycles of the entry's generators; a fill's empty entry has none.
+        # An entry without generators yet has none below the lone search's
+        # gate, and from it on fetches them at the first node whose first
+        # branch does not close it.
+        gens = solved.gens
         self.cycles: tuple[list[int], ...] | None = (
-            () if solved.gens is None and g.n < _LONE_SEARCH_MIN_VERTICES else None
+            tuple(_cycle_masks(p) for p in gens) if gens
+            else None if gens is None and g.n >= _LONE_SEARCH_MIN_VERTICES
+            else ()
         )
         self.nodes = 0
         self.skips = 0
@@ -444,7 +448,7 @@ class _Search:
         """
         cycles = self.cycles
         if cycles is None:
-            cycles = self.cycles = tuple(_cycle_masks(p) for p in generators(self.g, self.solved))
+            cycles = self.cycles = tuple(_cycle_masks(p) for p in generators(self.g))
         if not cycles:
             return 0
         orbits: list[int] = []
@@ -606,15 +610,12 @@ class _Search:
     # -- witness ---------------------------------------------------------------
 
     def _witness_conn(self, mask: int, out: dict[int, int]) -> None:
-        # Give the first branch vertex (in branch order) that attains the
-        # optimum the top rank of this subproblem, and recurse into the
-        # remaining components. The search recorded that vertex in `pick`
-        # when a branch lowered the incumbent; otherwise a second pass finds
-        # it as the first vertex whose components all lie below the optimum.
-        # The orbit rule leaves out the same vertices as in the search; the
-        # first attaining vertex is never one. A mask on 3 to
-        # `_SMALL_MAX_VERTICES` vertices, connected or not, takes the labels
-        # its table entry holds, and a rest of that size is not split.
+        # Give the canonical vertex (see the module docstring) the top rank of
+        # this subproblem and recurse into the remaining components: the
+        # vertex the search recorded in `pick`, or else the first in branch
+        # order whose rest components all lie below the optimum. A mask on 3
+        # to `_SMALL_MAX_VERTICES` vertices, connected or not, takes the
+        # labels its table entry holds, and a rest of that size is not split.
         cnt = mask.bit_count()
         if 2 < cnt <= _SMALL_MAX_VERTICES and mask != self.filling:
             for label in self._small(mask)[1]:
@@ -632,29 +633,18 @@ class _Search:
                 mask ^= low
             return
         small_rest = 3 < cnt <= _SMALL_MAX_VERTICES + 1
-        v = self.pick.get(mask)
-        if v is not None:
-            out[v] = self.memo[mask]
-            rest = mask ^ (1 << v)
-            for c in [rest] if small_rest else _split(adj, rest, adj[v] & rest):
-                self._witness_conn(c, out)
-            return
-        target = self.solve_conn(mask)
-        order = _branch_order(adj, mask)
-        skip = 0
-        for v in order:
-            if skip >> v & 1:
-                continue
+        # Every mask that gets here, a component of the whole graph or of an
+        # attaining vertex's rest, was answered exactly, so the memo holds it.
+        target = self.memo[mask]
+        pick = self.pick.get(mask)
+        for v in _branch_order(adj, mask) if pick is None else [pick]:
             rest = mask ^ (1 << v)
             comps = [rest] if small_rest else _split(adj, rest, adj[v] & rest)
-            if all(self.solve_conn(c, target) < target for c in comps):
+            if v == pick or all(self.solve_conn(c, target) < target for c in comps):
                 out[v] = target
                 for c in comps:
                     self._witness_conn(c, out)
                 return
-            if v == order[0] and self.cycles != ():
-                # only needed once the first vertex has failed
-                skip = self._orbit_skips(mask, order)
         raise AssertionError("no removal attains the memoized optimum")
 
     # -- the table of small subgraphs -------------------------------------------
@@ -693,8 +683,9 @@ class _Search:
         return value, out
 
     def certificate(self) -> TdCertificate:
-        value, out = self._solve_whole((1 << self.n) - 1)
-        labels = tuple(out[v] for v in range(self.n))
+        n = self.g.n
+        value, out = self._solve_whole((1 << n) - 1)
+        labels = tuple(out[v] for v in range(n))
         return TdCertificate(value, Ranking(labels, value), self.stats())
 
 
@@ -760,14 +751,13 @@ _GENERATORS_MIN_VERTICES = 7
 _LONE_SEARCH_MIN_VERTICES = 9
 
 
-def generators(g: Graph, solved: _Solved | None = None) -> list[tuple[int, ...]]:
-    """Generators of Aut(g), kept in g's entry (or `solved`) and searched for once.
+def generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), kept in g's entry and searched for once.
 
     None are searched for below `_GENERATORS_MIN_VERTICES` vertices. A
     graph built by `derive` already holds its inherited ones.
     """
-    if solved is None:
-        solved = _solved_for(g)
+    solved = _solved_for(g)
     if solved.gens is None:
         solved.gens = automorphism_generators(g) if g.n >= _GENERATORS_MIN_VERTICES else []
     return solved.gens
@@ -839,7 +829,7 @@ def derive(g: Graph, step: MinorStep | int) -> Graph:
     entry.parent = (up, _inherit(g, h, drop))
     # Inherited, never searched: a search per minor took `is_critical(hn(7))`
     # from 9.6 to 30.8 ms in-process (CPython 3.11, one core).
-    entry.gens = _inherit_generators(generators(g, up), h, drop)
+    entry.gens = _inherit_generators(generators(g), h, drop)
     return h
 
 
@@ -877,7 +867,13 @@ def _inherit(g: Graph, h: Graph, drop: int | None) -> Callable[[int], int]:
 
 
 def treedepth(g: Graph, config: SolverConfig | None = None) -> TdCertificate:
-    """Exact tree-depth of g with a verified witness ranking.
+    """Exact tree-depth of g with a witness ranking that attains it.
+
+    The witness is the canonical elimination (see the module docstring),
+    except after a budget stop whose `bounds` meet: the value is then theirs
+    and the witness the DFS ranking behind the upper bound. The solver runs
+    `ranking.verify_ranking` on neither; that check is independent of the
+    solver and left to the caller.
 
     Raises BudgetExceededError (carrying certified Bounds) when a configured
     resource budget runs out before the exact value is known.

@@ -105,7 +105,8 @@ def test_td_json_document(tmp_path, capsys):
 
 
 def test_td_json_counts_no_skips_without_generators(tmp_path, capsys):
-    # Graphs on at most 8 vertices get no generators, so nothing is skipped.
+    # A lone search fetches generators only from 9 vertices on. kak2(4) has
+    # 8, and no report or `derive` has given it any, so nothing is skipped.
     code, out, _ = run(capsys, ["td", write_graph(tmp_path, cartesian_k2(4)), "--json"])
     assert code == 0
     stats = json.loads(out)["stats"]

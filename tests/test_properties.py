@@ -1,5 +1,5 @@
 """Property tests of the exact solver and of one-step minors on random graphs of
-at most 8 vertices.
+at most 8 vertices, and of the graph codecs on graphs of up to 64 vertices.
 
 They need hypothesis and are skipped without it. Examples are derandomized
 and bounded, so every run draws the same graphs.
@@ -9,7 +9,16 @@ from itertools import combinations
 
 import pytest
 
+from tdlab.formats import (
+    format_edge_list,
+    format_graph6,
+    format_graph_text,
+    parse_edge_list,
+    parse_graph6,
+    parse_graph_text,
+)
 from tdlab.graphs import (
+    MAX_VERTICES,
     Graph,
     MinorStep,
     apply_minor_step,
@@ -24,6 +33,7 @@ from tdlab.solver import (
     treedepth,
     treedepth_le,
 )
+from test_formats import reference_graph6_decode, reference_graph6_encode
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -69,3 +79,29 @@ def test_one_step_minors_derived_fresh_and_under_automorphisms(g):
     for perm in automorphism_generators(g):
         for step in steps:
             assert fresh[step_image(step, perm)] == fresh[step], (perm, step)
+
+
+@st.composite
+def large_graphs(draw):
+    # The upper triangle as one integer; two draws combined by `&` or `|`
+    # give sparse and dense graphs as well as half-full ones.
+    n = draw(st.integers(1, MAX_VERTICES))
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    bits = st.integers(0, (1 << len(pairs)) - 1)
+    a, b, mix = draw(bits), draw(bits), draw(st.sampled_from("a&|"))
+    mask = a if mix == "a" else a & b if mix == "&" else a | b
+    return Graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@hypothesis.given(large_graphs())
+def test_graph6_and_edge_list_round_trips(g):
+    s = format_graph6(g)
+    assert s == reference_graph6_encode(g)
+    assert parse_graph6(s) == g == reference_graph6_decode(s)
+    assert format_graph6(parse_graph6(s)) == s
+    text = format_edge_list(g)
+    assert parse_edge_list(text) == g
+    assert format_edge_list(parse_edge_list(text)) == text
+    for fmt in ("edgelist", "graph6"):
+        assert parse_graph_text(format_graph_text(g, fmt)) == g, fmt

@@ -548,15 +548,49 @@ def test_one_step_facts_against_the_oracle(oracle_td):
                 assert td(h, s) >= td(g, ~p) - 1, (g, step, bin(s))
 
 
+def canonical_elimination(g, td, memo):
+    # The witness labels the solver promises, from the oracle `td` alone. In
+    # a connected graph, the first vertex by decreasing degree, then lowest
+    # index, whose removal leaves a rest of smaller tree-depth takes the
+    # graph's tree-depth, and the rest is labeled the same way, component by
+    # component. `memo` keeps each labeled graph's labels.
+    labels = memo.get(g.adj)
+    if labels is not None:
+        return labels
+    out = [0] * g.n
+    comps = component_masks(g.adj, g.full_mask())
+    if g.n == 1:
+        out[0] = 1
+    elif len(comps) > 1:
+        for comp in comps:
+            part = list(bit_indices(comp))
+            for v, label in zip(part, canonical_elimination(induced_subgraph(g, part), td, memo)):
+                out[v] = label
+    else:
+        value = td(g)
+        for v in sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v)):
+            rows = tuple(_drop_bit(row, v) for u, row in enumerate(g.adj) if u != v)
+            rest = Graph._unchecked(rows)
+            if td(rest) < value:
+                labels = canonical_elimination(rest, td, memo)
+                out = [*labels[:v], value, *labels[v:]]
+                break
+    labels = memo[g.adj] = tuple(out)
+    return labels
+
+
 def test_small_subproblem_rules_against_the_oracle(oracle_td):
     # The rules that settle small subproblems without branching, checked with
     # brute_force_td and not with the solver, on every connected labeled
     # graph with at most 6 vertices: a universal vertex u gives
-    # td = 1 + td(G - u), and td >= 1 + the least degree.
+    # td = 1 + td(G - u), and td >= 1 + the least degree. The same sweep
+    # checks that the solver's witness is the canonical elimination.
     td = oracle_td
+    canonical = {}
     for n in range(1, 7):
         for g in iter_labeled_graphs(n):
             value = td(g)
+            assert treedepth(g).witness.labels == canonical_elimination(g, td, canonical), g
             degrees = [g.degree(v) for v in range(g.n)]
             for u in range(g.n):
                 if n >= 2 and degrees[u] == n - 1:

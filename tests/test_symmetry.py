@@ -19,6 +19,7 @@ from tdlab.graphs import (
 )
 from tdlab.selftest import iter_labeled_graphs, random_graph
 from tdlab.solver import DEFAULT_CONFIG, _Search, _Solved, derive, treedepth
+from test_solver import canonical_elimination
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -183,6 +184,23 @@ def test_inherited_generators_are_automorphisms_of_the_derived_graph(g):
 
 
 # -- the orbit rule in the search ------------------------------------------------
+
+def test_witness_under_the_orbit_rule_is_the_canonical_elimination(oracle_td):
+    # Generators are fetched first, so the search skips by orbits on hn(4),
+    # kak2(4) and C8 (the bipartite graphs close every node at its first
+    # branch). The witness is still the canonical elimination, checked with
+    # brute_force_td and not with the solver.
+    graphs = [hn(4)[0], cartesian_k2(4), cycle(8)]
+    graphs += [complete_bipartite(3, 4), complete_bipartite(4, 4)]
+    canonical = {}
+    skips = []
+    for g in graphs:
+        assert solver.generators(g), g
+        cert = treedepth(g)
+        skips.append(cert.stats.symmetry_skips)
+        assert cert.witness.labels == canonical_elimination(g, oracle_td, canonical), g
+    assert all(skips[:3]), skips
+
 
 def test_orbit_rule_keeps_values_and_witnesses_on_small_graphs(oracle_td):
     # Every connected labeled graph on at most 6 vertices, with generators
