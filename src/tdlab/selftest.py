@@ -3,10 +3,14 @@
 The CLI `selftest` command runs these: the exact solver against the
 labeling-space brute force on every connected labeled graph with at most 5
 vertices, the two 1-uniqueness methods against each other on the same range,
-and a seeded random spot check of minor monotonicity. Acceptance criteria 7
-and 8 (tests/test_acceptance.py) run the first two sweeps at full scale, on
-at most 6 vertices; criterion 10 and tests/test_solver.py run the spot check
-on larger graphs.
+and a seeded random spot check of minor monotonicity. Acceptance criterion 7
+(tests/test_acceptance.py) runs the 1-uniqueness sweep at full scale, on at
+most 6 vertices. Criterion 8 makes the oracle comparison at that scale
+without this module: it reads the test session's one pass over those graphs
+(`small_sweep` in tests/conftest.py), which other tests read too.
+tests/test_solver.py runs `oracle_equivalence_suite` itself on at most 4
+vertices. Criterion 10 and tests/test_solver.py run the spot check on larger
+graphs.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from tdlab.graphs import (
     star_clique,
 )
 from tdlab.ranking import verify_ranking
-from tdlab.selftest import iter_labeled_graphs, uniqueness_cross_validation_suite
+from tdlab.selftest import uniqueness_cross_validation_suite
 from tdlab.solver import BudgetExceededError, SolverConfig, derive, treedepth
 
 GNP16 = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "gnp16.txt"
@@ -280,7 +280,7 @@ def test_uniqueness_report_budget_inconclusive():
     assert flagged and flagged[0].vertex == 1
 
 
-def test_budget_outcomes_do_not_depend_on_what_the_table_holds():
+def test_budget_outcomes_do_not_depend_on_what_the_table_holds(small_sweep):
     # Entries of the table of small subgraphs are filled outside the call's
     # budget, so whether a report runs out, and where, is the same from an
     # empty table and from one that every subgraph on 3 to 5 vertices has
@@ -305,9 +305,7 @@ def test_budget_outcomes_do_not_depend_on_what_the_table_holds():
         return got
 
     from_empty = outcomes(cold=True)
-    for n in range(1, 7):
-        for g in iter_labeled_graphs(n):
-            treedepth(g)
+    small_sweep.restore_table()
     assert len(solver._small_table) == 8 + 64 + 1024
     assert outcomes(cold=False) == from_empty
 

@@ -28,7 +28,6 @@ from tdlab.graphs import (
 from tdlab.ranking import verify_ranking
 from tdlab.solver import (
     BRUTE_FORCE_MAX_VERTICES,
-    brute_force_td,
     derive,
     treedepth,
     treedepth_le,
@@ -48,10 +47,10 @@ def graphs(draw):
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@hypothesis.given(graphs())
-def test_solver_value_witness_and_decision_form_agree_with_the_oracle(g):
+@hypothesis.given(g=graphs())
+def test_solver_value_witness_and_decision_form_agree_with_the_oracle(oracle_td, g):
     cert = treedepth(g)
-    assert cert.value == brute_force_td(g)
+    assert cert.value == oracle_td(g)
     assert cert.witness.max_label == cert.value
     assert verify_ranking(g, cert.witness) is None
     # each decision on a new object, so it searches instead of reading the solve

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tdlab import solver
+from tdlab import selftest, solver
 from tdlab.formats import format_graph6, parse_graph6
 from tdlab.graphs import (
     Graph,
@@ -31,7 +31,12 @@ from tdlab.graphs import (
     star_clique,
 )
 from tdlab.ranking import Ranking, verify_ranking
-from tdlab.selftest import iter_labeled_graphs, monotonicity_spot_check, random_graph
+from tdlab.selftest import (
+    iter_labeled_graphs,
+    monotonicity_spot_check,
+    oracle_equivalence_suite,
+    random_graph,
+)
 from tdlab.solver import (
     DEFAULT_CONFIG,
     Bounds,
@@ -209,13 +214,11 @@ def test_bounded_solve_is_exact_below_ub_and_a_lower_bound_above():
 SMALL6_WITNESS_SHA256 = "253ec8d6d6dcf4dab7a786ca6ce6cf319537eee1e40d986d88b2ff11946c7a65"
 
 
-def test_witnesses_of_all_small_graphs_are_pinned():
+def test_witnesses_of_all_small_graphs_are_pinned(small_sweep):
     digest = hashlib.sha256()
-    for n in range(1, 7):
-        for g in iter_labeled_graphs(n):
-            cert = treedepth(g)
-            labels = " ".join(map(str, cert.witness.labels))
-            digest.update(f"{format_graph6(g)} {cert.value} {labels}\n".encode())
+    for adj, value, labels, _ in small_sweep.graphs:
+        g6 = format_graph6(Graph.from_adj(adj))
+        digest.update(f"{g6} {value} {' '.join(map(str, labels))}\n".encode())
     assert digest.hexdigest() == SMALL6_WITNESS_SHA256
 
 
@@ -286,16 +289,16 @@ def pattern_graph(key):
     return Graph(n, [pair for i, pair in enumerate(pairs) if key >> (bits - 1 - i) & 1])
 
 
-def assert_table_valid(monkeypatch):
+def assert_table_valid(entries, oracle_td, monkeypatch):
     # Each entry, connected or not, is the oracle's value with a verified
     # witness that is the one a search without the table builds.
-    entries = dict(solver._small_table)
+    entries = dict(entries)
     with monkeypatch.context() as m:
         m.setattr(solver, "_SMALL_MAX_VERTICES", 2)
         for key, (value, labels) in entries.items():
             g = pattern_graph(key)
             assert _small_key(g.adj, g.full_mask()) == key
-            assert value == brute_force_td(g), g
+            assert value == oracle_td(g), g
             assert verify_ranking(g, Ranking(labels, value)) is None, g
             assert labels == fresh_cert(g).witness.labels, g
 
@@ -309,18 +312,17 @@ def all_small_keys():
     }
 
 
-def test_table_of_small_subgraphs_is_exact_and_bounded(monkeypatch):
+def test_table_of_small_subgraphs_is_exact_and_bounded(monkeypatch, small_sweep, oracle_td):
     # Every connected graph on 3 to 5 vertices is read at its own top level,
     # and every graph on 3 to 5 vertices, connected or not, is the rest of a
     # branch of some graph one vertex larger, so after all connected graphs
     # on at most 6 vertices the table holds every labeled graph on 3 to 5
-    # vertices: 2^3 + 2^6 + 2^10 entries, and nothing else.
-    for n in range(1, 7):
-        for g in iter_labeled_graphs(n):
-            treedepth(g)
-    assert len(solver._small_table) == 8 + 64 + 1024
-    assert set(solver._small_table) == all_small_keys()
-    assert_table_valid(monkeypatch)
+    # vertices: 2^3 + 2^6 + 2^10 entries, and nothing else. The session's
+    # sweep of those graphs starts from an empty table.
+    table = small_sweep.table
+    assert len(table) == 8 + 64 + 1024
+    assert set(table) == all_small_keys()
+    assert_table_valid(table, oracle_td, monkeypatch)
 
 
 def test_disconnected_entries_are_their_components_side_by_side():
@@ -359,12 +361,13 @@ def history_graphs():
     return graphs + small6_graphs()[::8]
 
 
-def test_certificates_do_not_depend_on_what_the_table_holds():
+def test_certificates_do_not_depend_on_what_the_table_holds(small_sweep):
     # A table entry is filled in a search of its own, so neither the value,
     # the witness nor what the call counts depends on which entries earlier
     # solves of the process left behind: the table empty before each solve,
-    # as a backward pass leaves it, or full after the small6 sweep. Each
-    # pass solves new Graph objects, so only the table carries over.
+    # as a backward pass leaves it, or full as the session's sweep of small
+    # graphs left it. Each pass solves new Graph objects, so only the table
+    # carries over.
     def copies():
         return [Graph.from_adj(g.adj) for g in history_graphs()]
 
@@ -378,8 +381,7 @@ def test_certificates_do_not_depend_on_what_the_table_holds():
         cold.append(outcome(treedepth(g)))
     solver._small_table.clear()
     backwards = [outcome(treedepth(g)) for g in reversed(copies())][::-1]
-    for g in small6_graphs():
-        treedepth(g)
+    small_sweep.restore_table()
     assert len(solver._small_table) == 8 + 64 + 1024
     warm = [outcome(treedepth(g)) for g in copies()]
     assert sum(stats.table_reads for _, _, stats in warm) > 0
@@ -403,7 +405,33 @@ def test_zero_budgets_solve_every_small_graph_exactly(monkeypatch, oracle_td):
             assert cert.witness.max_label == cert.value, g
             assert verify_ranking(g, cert.witness) is None, g
             assert (cert.stats.nodes, cert.stats.memo_entries) == (0, 0), g
-    assert_table_valid(monkeypatch)
+    assert_table_valid(solver._small_table, oracle_td, monkeypatch)
+
+
+def cone(g, k):
+    # g joined with K_k: k new vertices, each adjacent to every other vertex
+    edges = list(g.edges()) + [(v, g.n + i) for i in range(k) for v in range(g.n + i)]
+    return Graph(g.n + k, edges)
+
+
+def test_universal_vertices_cost_one_node_each():
+    # A vertex adjacent to every other one is the only branch its node needs,
+    # td = 1 + td(G - u), so a k-fold cone costs the nodes of its base plus
+    # one per cone vertex. Without that rule the search tries every branch
+    # under each cone vertex: one cone over hn(9) costs 470 nodes, not 142,
+    # and one over gnp16 member 129 23,644, not 9,864.
+    graphs = [parse_graph6((PERFBENCH_INPUTS / f"{name}.g6").read_text().strip())
+              for name in ("hn9", "kak2_8")]
+    for line in (PERFBENCH_INPUTS / "gnp16.txt").read_text().splitlines():
+        if line.startswith("129 "):
+            graphs.append(parse_graph6(line.split()[1]))
+    assert len(graphs) == 3
+    for g in graphs:
+        base = treedepth(g)
+        for k in (1, 2):
+            cert = treedepth(cone(g, k))
+            assert cert.value == base.value + k, (format_graph6(g), k)
+            assert cert.stats.nodes <= base.stats.nodes + k, (format_graph6(g), k)
 
 
 def test_monotone_cut_shrinks_hn_search():
@@ -579,7 +607,7 @@ def canonical_elimination(g, td, memo):
     return labels
 
 
-def test_small_subproblem_rules_against_the_oracle(oracle_td):
+def test_small_subproblem_rules_against_the_oracle(small_sweep, oracle_td):
     # The rules that settle small subproblems without branching, checked with
     # brute_force_td and not with the solver, on every connected labeled
     # graph with at most 6 vertices: a universal vertex u gives
@@ -587,16 +615,15 @@ def test_small_subproblem_rules_against_the_oracle(oracle_td):
     # checks that the solver's witness is the canonical elimination.
     td = oracle_td
     canonical = {}
-    for n in range(1, 7):
-        for g in iter_labeled_graphs(n):
-            value = td(g)
-            assert treedepth(g).witness.labels == canonical_elimination(g, td, canonical), g
-            degrees = [g.degree(v) for v in range(g.n)]
-            for u in range(g.n):
-                if n >= 2 and degrees[u] == n - 1:
-                    rest = induced_subgraph(g, [v for v in range(g.n) if v != u])
-                    assert value == 1 + td(rest), (g, u)
-            assert value >= 1 + min(degrees), g
+    for adj, _, labels, value in small_sweep.graphs:
+        g = Graph.from_adj(adj)
+        assert labels == canonical_elimination(g, td, canonical), g
+        degrees = [g.degree(v) for v in range(g.n)]
+        for u in range(g.n):
+            if g.n >= 2 and degrees[u] == g.n - 1:
+                rest = induced_subgraph(g, [v for v in range(g.n) if v != u])
+                assert value == 1 + td(rest), (g, u)
+        assert value >= 1 + min(degrees), g
 
 
 def test_small_subgraphs_never_cost_a_node():
@@ -935,6 +962,16 @@ def test_brute_force_cycle5():
 def test_brute_force_size_cap():
     with pytest.raises(ValueError):
         brute_force_td(complete(9))
+
+
+def test_oracle_equivalence_suite_passes_and_reports_a_disagreement(monkeypatch):
+    assert oracle_equivalence_suite(4) == (True, "44 connected graphs up to 4 vertices")
+    # An oracle one above the truth on every graph: the suite stops at the
+    # first graph, the single vertex, and names both values.
+    monkeypatch.setattr(selftest, "brute_force_td", lambda g: g.n + 1)
+    ok, detail = oracle_equivalence_suite(4)
+    assert not ok
+    assert detail == f"solver=1 brute_force=2 on {Graph(1, [])!r}"
 
 
 def test_search_feasible_labeling_respects_pins():

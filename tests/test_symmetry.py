@@ -17,7 +17,8 @@ from tdlab.graphs import (
     hn,
     one_step_minor_steps,
 )
-from tdlab.selftest import iter_labeled_graphs, random_graph
+from tdlab.ranking import Ranking
+from tdlab.selftest import random_graph
 from tdlab.solver import DEFAULT_CONFIG, _Search, _Solved, derive, treedepth
 from test_solver import canonical_elimination
 
@@ -202,14 +203,17 @@ def test_witness_under_the_orbit_rule_is_the_canonical_elimination(oracle_td):
     assert all(skips[:3]), skips
 
 
-def test_orbit_rule_keeps_values_and_witnesses_on_small_graphs(oracle_td):
+def test_orbit_rule_keeps_values_and_witnesses_on_small_graphs(small_sweep):
     # Every connected labeled graph on at most 6 vertices, with generators
-    # forced on; the pruned value is also checked against the oracle.
-    for n in range(1, 7):
-        for g in iter_labeled_graphs(n):
-            pruned, plain = certs(g)
-            assert pruned.value == plain.value and pruned.witness == plain.witness, g
-            assert pruned.value == oracle_td(g), g
+    # forced on; the pruned value is also checked against the oracle. The
+    # plain certificate is the session's sweep's: treedepth fetches no
+    # generators for a lone search below 9 vertices.
+    assert solver._LONE_SEARCH_MIN_VERTICES > 6
+    for adj, value, labels, oracle in small_sweep.graphs:
+        g = Graph.from_adj(adj)
+        pruned = _Search(g, DEFAULT_CONFIG, _Solved(gens=automorphism_generators(g))).certificate()
+        assert pruned.value == value and pruned.witness == Ranking(labels, value), g
+        assert pruned.value == oracle, g
 
 
 def test_orbit_rule_keeps_values_and_witnesses_on_symmetric_graphs():
