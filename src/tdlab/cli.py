@@ -131,7 +131,7 @@ def _solver_options() -> argparse.ArgumentParser:
     p.add_argument(
         "--node-budget", type=_count,
         help="abort with bounds after this many expanded nodes "
-        "(cliques and subgraphs of at most 5 vertices are not nodes)",
+        "(subgraphs of at most 5 vertices are not nodes)",
     )
     p.add_argument(
         "--time-budget", type=_seconds,

@@ -250,8 +250,7 @@ def uniqueness_report(
     _check_two_vertices(g)
     treedepth(g, config)  # a budget stop on g itself ends the whole report
     direct_in_range = g.n <= BRUTE_FORCE_MAX_VERTICES
-    gens = generators(g) if direct_in_range else []
-    firsts = _class_firsts(g.n, ((v, perm[v]) for perm in gens for v in range(g.n)))
+    firsts = _class_firsts(g.n, ((v, perm[v]) for perm in generators(g) for v in range(g.n)))
     direct: dict[int, bool] = {}  # by the first vertex of each orbit
 
     def check(v: int) -> VertexUniqueness:

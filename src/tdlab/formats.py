@@ -21,6 +21,7 @@ from .graphs import Graph
 from .ranking import Ranking
 
 _GRAPH6_HEADER = ">>graph6<<"
+_FIELD = re.compile(r"\S+")
 
 
 class FormatError(ValueError):
@@ -45,8 +46,10 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _int_tokens(lineno: int, line: str, expect: int) -> list[int]:
-    tokens = list(re.finditer(r"\S+", line))
+def _int_tokens(lineno: int, line: str, expect: int, start: int = 0) -> list[int]:
+    """The integer fields of `line` from index `start` on; a column names the
+    field's place in the whole line."""
+    tokens = list(_FIELD.finditer(line, start))
     if len(tokens) != expect:
         raise FormatError(
             f"expected {expect} fields, found {len(tokens)}", line=lineno
@@ -130,36 +133,50 @@ def format_graph6(g: Graph) -> str:
     return head + "".join([chr(63 + (bits >> s & 63)) for s in range(pos - 6, -1, -6)])
 
 
+def _graph6_error(message: str, text: str, index: int, column: bool = False) -> FormatError:
+    """An error at `text[index]`: its 1-based line, and its column if asked.
+
+    Lines are split as `splitlines` splits them. The place is computed only
+    here, so a valid input pays nothing for it.
+    """
+    lines = (text[:index] + "x").splitlines()
+    return FormatError(message, line=len(lines), column=len(lines[-1]) if column else None)
+
+
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
-    if s.startswith(_GRAPH6_HEADER):
-        s = s[len(_GRAPH6_HEADER) :].lstrip()
+    # Errors name places in `text` as given: `start` indexes the encoding's
+    # first character, past leading blanks and the optional header.
+    start = len(text) - len(text.lstrip())
+    if text.startswith(_GRAPH6_HEADER, start):
+        start += len(_GRAPH6_HEADER)
+        start = len(text) - len(text[start:].lstrip())
+    s = text[start:].rstrip()
     if not s:
         raise FormatError("empty graph6 input", line=1)
     if min(s) < "?" or max(s) > "~":  # outside chr(63)..chr(126)
         bad = re.search(r"[^?-~]", s)
-        raise FormatError(
-            f"invalid graph6 character {bad.group()!r}", line=1, column=bad.start() + 1
+        raise _graph6_error(
+            f"invalid graph6 character {bad.group()!r}", text, start + bad.start(), column=True
         )
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
-            raise FormatError("graph6 8-byte size form exceeds the 64-vertex cap", line=1)
+            raise _graph6_error("graph6 8-byte size form exceeds the 64-vertex cap", text, start)
         if len(s) < 4:
-            raise FormatError("truncated graph6 size field", line=1)
+            raise _graph6_error("truncated graph6 size field", text, start)
         n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
         body = s[4:]
     else:
         n = ord(s[0]) - 63
         body = s[1:]
     if n == 0:
-        raise FormatError("graphs must have at least one vertex", line=1)
+        raise _graph6_error("graphs must have at least one vertex", text, start)
     if n > 64:
-        raise FormatError(f"graph on {n} vertices exceeds the 64-vertex cap", line=1)
+        raise _graph6_error(f"graph on {n} vertices exceeds the 64-vertex cap", text, start)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:
-        raise FormatError(
-            f"graph6 body for n={n} needs {need} characters, found {len(body)}", line=1
+        raise _graph6_error(
+            f"graph6 body for n={n} needs {need} characters, found {len(body)}", text, start
         )
     # The whole body as one integer, first character highest; the padding is
     # its low 6 * need - nbits bits.
@@ -168,7 +185,7 @@ def parse_graph6(text: str) -> Graph:
         bits = bits << 6 | (ch - 63)
     pos = 6 * need
     if bits & ((1 << (pos - nbits)) - 1):
-        raise FormatError("nonzero padding bits in graph6 body", line=1)
+        raise _graph6_error("nonzero padding bits in graph6 body", text, start)
     # Column col is the next col bits, row 0 highest. Every edge has
     # row < col < n and sets both rows, so the Graph invariants hold.
     rows = [0] * n
@@ -231,7 +248,7 @@ def parse_ranking(text: str) -> Ranking:
         colors = int(head.strip())
     except ValueError:
         raise FormatError(f"bad color count {head.strip()!r}", line=lineno) from None
-    labels = _int_tokens(lineno, tail, len(tail.split()))
+    labels = _int_tokens(lineno, line, len(tail.split()), len(head) + 1)
     if not labels:
         raise FormatError("ranking has no labels", line=lineno)
     try:

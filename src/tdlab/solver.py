@@ -17,8 +17,9 @@ The search is bounded: each subproblem is asked only whether its value is
 below a bound, and answers with the exact value or a proven lower bound of
 at least that bound. Exact values go to the memo and lower bounds to a
 second store beside it (connected masks only, too), which later queries
-read. A mask of at most 2 vertices or a clique is answered by its size and
-never stored.
+read. A mask of at most 2 vertices is answered by its size and never
+stored. A clique needs no rule of its own: its greedy clique bound meets its
+DFS height, so its node closes before any branch.
 
 Two textbook facts about k-rankings are read from the degrees of the branch
 order. In an elimination forest every vertex adjacent to all others of a
@@ -54,23 +55,22 @@ branch has failed to close it; that vertex is the first of its orbit, so
 nothing it would have skipped changes.
 One function, `generators`, owns a graph's generators: it searches for
 them at most once and keeps them in the graph's entry, and the search,
-`derive` and the reports of `tdlab.critical` all read them through it. Two
-measured size gates sit beside it. When a report or `derive` asks, a graph
-gets generators from 7 vertices on (`_GENERATORS_MIN_VERTICES`). A search
-on a graph that has none yet fetches them itself only from 9 vertices
-(`_LONE_SEARCH_MIN_VERTICES`), and only at its first node whose first branch
-does not close it. A graph built by `derive` never searches: it inherits
-those of its parent's generators that fix the dropped vertex and are
-automorphisms of it.
+`derive` and the reports of `tdlab.critical` all read them through it. One
+measured size gate decides which graphs have any: those with at least 7
+vertices (`_GENERATORS_MIN_VERTICES`). A search on such a graph that has
+none yet fetches them at its first node whose first branch does not close
+it. A graph built by `derive` never searches: it inherits those of its
+parent's generators that fix the dropped vertex and are automorphisms of
+it.
 
 Subgraphs on 3 to 5 vertices are settled once per process. Every search
 ends in them, and there are only 2^3 + 2^6 + 2^10 = 1,096 labeled graphs on
 3 to 5 vertices, so one process-wide table (`_small_table`) keeps each
 one's exact tree-depth and witness labels by position, keyed by the labeled
 subgraph itself rather than by a graph and a mask. A search reads it for a
-subproblem of that size before its stores and the clique test, and at a
-node on at most 6 vertices each branch reads its whole rest, connected or
-not, with one table read: no split and no solve per component. On a miss
+subproblem of that size before its stores, and at a node on at most 6
+vertices each branch reads its whole rest, connected or not, with one table
+read: no split and no solve per component. On a miss
 a search of its own, on empty stores and without budgets or generators,
 solves each component of the mask exactly and builds its witness. None of
 its nodes, store entries or reads is the caller's, so no count of a call
@@ -157,14 +157,15 @@ class SolverConfig(NamedTuple):
     entry, values copied from a parent graph included. Values already
     solved for the same Graph object cost nothing, so a call whose answer
     is already known never runs out; an equal but distinct object starts
-    from empty stores. Subproblems on at most 2 vertices and
-    cliques are answered in closed form: they are neither nodes nor store
-    entries, so they spend no budget. Nor are subgraphs on 3 to 5 vertices,
-    subproblems or the rests of branches, connected or not: they are read
-    from the process-wide table of small subgraphs (see the module
-    docstring), which no capacity counts and whose missing entries are
-    filled outside the call's budget. A node with a
-    vertex adjacent to all others branches on that vertex alone.
+    from empty stores. Subproblems on at most 2 vertices are answered in
+    closed form: they are neither nodes nor store entries, so they spend no
+    budget. Nor are subgraphs on 3 to 5 vertices, subproblems or the rests
+    of branches, connected or not: they are read from the process-wide
+    table of small subgraphs (see the module docstring), which no capacity
+    counts and whose missing entries are filled outside the call's budget.
+    A clique on 6 or more vertices is an ordinary node, which closes before
+    any branch. A node with a vertex adjacent to all others branches on that
+    vertex alone.
     """
 
     node_budget: int | None = None
@@ -311,16 +312,6 @@ def _split(adj: tuple[int, ...], rest: int, nbrs: int) -> list[int]:
     return component_masks(adj, rest)
 
 
-def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
-    m = mask
-    while m:
-        low = m & -m
-        if adj[low.bit_length() - 1] & mask != mask ^ low:
-            return False
-        m ^= low
-    return True
-
-
 # Subgraphs on 3 to this many vertices are settled once per process, in
 # `_small_table`. In-process solves of the 27,476 connected graphs on at most
 # 6 vertices, table emptied first, took 0.79 s without the table, 0.71 s with
@@ -388,13 +379,13 @@ class _Search:
         self.pick = solved.pick
         self.parent = solved.parent
         # The cycles of the entry's generators; a fill's empty entry has none.
-        # An entry without generators yet has none below the lone search's
-        # gate, and from it on fetches them at the first node whose first
-        # branch does not close it.
+        # An entry without generators yet has none below the size gate of
+        # `generators`, and from it on fetches them at the first node whose
+        # first branch does not close it.
         gens = solved.gens
         self.cycles: tuple[list[int], ...] | None = (
             tuple(_cycle_masks(p) for p in gens) if gens
-            else None if gens is None and g.n >= _LONE_SEARCH_MIN_VERTICES
+            else None if gens is None and g.n >= _GENERATORS_MIN_VERTICES
             else ()
         )
         self.nodes = 0
@@ -499,10 +490,10 @@ class _Search:
         which is kept in `lower`. A mask on 3 to `_SMALL_MAX_VERTICES`
         vertices is answered from the table of small subgraphs, exactly,
         unless it is the one whose entry this search is filling; that read
-        needs no connected mask. A mask of at most 2 vertices or a clique is
-        answered by its size, before it counts as a node and without a store
-        entry. A node has td >= 1 + its least degree (see the module
-        docstring). At a node on at most `_SMALL_MAX_VERTICES` + 1 vertices
+        needs no connected mask. A mask of at most 2 vertices is answered by
+        its size, before it counts as a node and without a store entry. A
+        node has td >= 1 + its least degree (see the module docstring). At a
+        node on at most `_SMALL_MAX_VERTICES` + 1 vertices
         each branch reads its whole rest from the table. Elsewhere it asks
         the components of its rest, through `solve_set`, only whether they
         beat the current cap (the incumbent, or `ub` if lower), so most
@@ -521,9 +512,9 @@ class _Search:
         val = memo.get(mask)
         if val is not None:
             return val
-        adj = self.adj
-        if cnt <= 2 or _is_clique(adj, mask):
+        if cnt <= 2:
             return cnt
+        adj = self.adj
         known = self.lower.get(mask, 2)
         if self.parent is not None:
             up, lift = self.parent
@@ -623,8 +614,7 @@ class _Search:
                 out[low.bit_length() - 1] = label
                 mask ^= low
             return
-        adj = self.adj
-        if cnt <= 2 or _is_clique(adj, mask):
+        if cnt <= 2:
             # what the scan picks: labels cnt, cnt - 1, ..., 1 in ascending order
             while mask:
                 low = mask & -mask
@@ -632,6 +622,7 @@ class _Search:
                 cnt -= 1
                 mask ^= low
             return
+        adj = self.adj
         small_rest = 3 < cnt <= _SMALL_MAX_VERTICES + 1
         # Every mask that gets here, a component of the whole graph or of an
         # attaining vertex's rest, was answered exactly, so the memo holds it.
@@ -730,25 +721,21 @@ def _solved_for(g: Graph) -> _Solved:
 
 
 # `generators` searches for generators only on graphs with at least this
-# many vertices. The reports group their work by the orbits they give, and
-# `derive` hands them on. Measured in-process (CPython 3.11, one core),
-# against the direct 1-uniqueness checks of every vertex: on all 26,704
-# connected labeled 6-vertex graphs the automorphism search took 1.54 s and
-# the checks 3.45 s, and orbit representatives are 118,692 of the 160,224
-# vertices, so grouping would save about 0.9 s for 1.5 s spent; on 225
-# random 7-vertex graphs the search took 15 ms and the checks 110 ms
-# (representatives 1,234 of 1,575), and on 231 random 8-vertex graphs 18 ms
-# and 688 ms (1,601 of 1,848).
+# many vertices. The reports group their work by the orbits they give,
+# `derive` hands them on, and the search branches by them. Measured
+# in-process (CPython 3.11, one core), against the direct 1-uniqueness checks
+# of every vertex: on all 26,704 connected labeled 6-vertex graphs the
+# automorphism search took 1.54 s and the checks 3.45 s, and orbit
+# representatives are 118,692 of the 160,224 vertices, so grouping would save
+# about 0.9 s for 1.5 s spent; on 225 random 7-vertex graphs the search took
+# 15 ms and the checks 110 ms (representatives 1,234 of 1,575), and on 231
+# random 8-vertex graphs 18 ms and 688 ms (1,601 of 1,848). For the search
+# alone: on the 27,476 connected graphs with at most 6 vertices, generators
+# on every graph cut the nodes by only 23% (195,289 -> 149,489) and took
+# their solves from 1.15 to 2.95 s; the 1,000 lone solves of random 7- and
+# 8-vertex graphs of the acceptance tests went from 9,099 to 7,962 nodes and
+# from 0.11 to 0.18 s.
 _GENERATORS_MIN_VERTICES = 7
-
-# A search on a graph that no report or `derive` has given generators
-# fetches them itself only from this many vertices. On the 27,476 connected
-# graphs with at most 6 vertices, searching on every graph cut the search
-# nodes by only 23% (195,289 -> 149,489) and took their in-process solves
-# from 1.15 to 2.95 s. A gate of 7 here took the lone solves of 1,000 random
-# graphs on 7-8 vertices from 0.17-0.22 s to 0.27-0.33 s, the cost of their
-# automorphism searches (CPython 3.11, one core).
-_LONE_SEARCH_MIN_VERTICES = 9
 
 
 def generators(g: Graph) -> list[tuple[int, ...]]:

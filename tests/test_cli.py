@@ -105,9 +105,9 @@ def test_td_json_document(tmp_path, capsys):
 
 
 def test_td_json_counts_no_skips_without_generators(tmp_path, capsys):
-    # A lone search fetches generators only from 9 vertices on. kak2(4) has
-    # 8, and no report or `derive` has given it any, so nothing is skipped.
-    code, out, _ = run(capsys, ["td", write_graph(tmp_path, cartesian_k2(4)), "--json"])
+    # Graphs get generators only from 7 vertices on. kak2(3) has 6, so its
+    # search skips nothing.
+    code, out, _ = run(capsys, ["td", write_graph(tmp_path, cartesian_k2(3)), "--json"])
     assert code == 0
     stats = json.loads(out)["stats"]
     assert stats["nodes"] > 0 and stats["symmetry_skips"] == 0
@@ -458,11 +458,13 @@ def test_zero_budget_is_accepted(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("graph6", ["A_", "Bo", "Bg"])
+@pytest.mark.parametrize("graph6", ["A_", "Bo", "Bg", "Esa?", "E?Bw"])
 @pytest.mark.parametrize("flag", ["--node-budget", "--time-budget", "--memo-capacity"])
 def test_zero_budget_with_pinned_bounds_is_exact(tmp_path, capsys, graph6, flag):
-    # K2 and the 3-vertex path with its middle vertex at index 0 or 1: the
-    # bounds meet, so a budget stop still yields the value and the DFS witness.
+    # K2 and the 3-vertex path with its middle vertex at index 0 or 1 need no
+    # node. The star K_1,5 with its centre at 0 (Esa?) and at 5 (E?Bw) needs
+    # one, which the zero budget stops; the bounds meet, so the stop still
+    # yields the value and the DFS witness.
     p = tmp_path / "g.g6"
     p.write_text(graph6 + "\n")
     code, out, _ = run(capsys, ["td", str(p), flag, "0"])

@@ -328,10 +328,11 @@ def test_uniqueness_report_rejects_single_vertex():
 
 # -- reports grouped by symmetry class ----------------------------------------------------------
 
-# hn(4..9) and kak2(3..7) take every source of generators in a report: none
-# below the size gate (kak2(3)), one search per report (hn(4), kak2(4)), and
-# the solver's own from 9 vertices on. Ip|IrppyW (10 vertices) and Gqcmv?
-# (8 vertices) have no automorphism, but steps that give identical minors.
+# hn(4..9) and kak2(3..7) take both cases of generators in a report: none
+# below the size gate (kak2(3)), and from 7 vertices on one search per graph,
+# by the report's first solve or else by the report itself. Ip|IrppyW (10
+# vertices) and Gqcmv? (8 vertices) have no automorphism, but steps that give
+# identical minors.
 GROUPING_GRAPHS = (
     [hn(n)[0] for n in range(4, 10)]
     + [cartesian_k2(a) for a in range(3, 8)]

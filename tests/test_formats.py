@@ -139,6 +139,12 @@ def test_graph6_rejects_bad_input():
         ("", "empty graph6 input (line 1)"),
         ("B ", "graph6 body for n=3 needs 1 characters, found 0 (line 1)"),
         ("Dh c", "invalid graph6 character ' ' (line 1, column 3)"),
+        # places are those of the input as given: past a header, leading
+        # blanks and leading blank lines
+        (">>graph6<<Dh c", "invalid graph6 character ' ' (line 1, column 13)"),
+        ("  Dh c", "invalid graph6 character ' ' (line 1, column 5)"),
+        ("\n\nDh c", "invalid graph6 character ' ' (line 3, column 3)"),
+        ("\n\nBgg", "graph6 body for n=3 needs 1 characters, found 2 (line 3)"),
         ("B\u00e9", "invalid graph6 character '\u00e9' (line 1, column 2)"),
         ("B\x7f", "invalid graph6 character '\\x7f' (line 1, column 2)"),
         # the first bad character is named, not the lowest or the highest
@@ -238,3 +244,7 @@ def test_ranking_parse_errors():
     for bad in ["", "3 1 2", "x: 1 2", "2: 1 3", "2: a b", "1: 1\n1: 1\n"]:
         with pytest.raises(FormatError):
             parse_ranking(bad)
+    # the column counts from the start of the line, not from the colon
+    with pytest.raises(FormatError) as err:
+        parse_ranking("3: 1 x 2")
+    assert str(err.value) == "not an integer: 'x' (line 1, column 6)"

@@ -440,18 +440,27 @@ def test_monotone_cut_shrinks_hn_search():
     assert treedepth(hn(8)[0]).stats.nodes < 5953
 
 
-def test_cliques_are_answered_in_closed_form():
-    # td(K_k) = k is read off at the top of solve_conn: no node is expanded
-    # and neither store gets an entry, whatever the bound asked.
-    for k in range(1, 7):
-        g = complete(k)
-        cert = treedepth(g)
+def test_cliques_close_at_their_first_node():
+    # K_1 and K_2 are answered by their size and K_3..K_5 read from the table:
+    # no node, no store entry. From K_6 on, the greedy clique bound meets the
+    # DFS height, so a node closes before any branch with its exact value,
+    # whatever bound above 2 was asked. The witness rebuild then asks the nested
+    # cliques K_(k-1), ..., K_6 the same way, one node each, and takes the
+    # vertices in ascending order.
+    for k in range(1, 10):
+        cert = treedepth(complete(k))
         assert cert.value == k
-        assert cert.stats.nodes == 0 and cert.stats.memo_entries == 0
+        assert cert.stats.nodes == cert.stats.memo_entries == max(0, k - 5)
         assert cert.witness.labels == tuple(range(k, 0, -1))
-    # a triangle inside a larger graph, and every clique of K_6
+    for k in (6, 7, 8):
+        full = (1 << k) - 1
+        for ub in range(3, k + 2):
+            search = _Search(complete(k), DEFAULT_CONFIG, _Solved())
+            assert search.solve_conn(full, ub) == k
+            assert search.nodes == 1 and search.memo == {full: k} and not search.lower
+    # a triangle inside a larger graph, and every smaller clique of K_6
     triangle_plus = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    cases = [(triangle_plus, 0b0111)] + [(complete(6), m) for m in range(1, 1 << 6)]
+    cases = [(triangle_plus, 0b0111)] + [(complete(6), m) for m in range(1, (1 << 6) - 1)]
     for g, mask in cases:
         for ub in range(1, mask.bit_count() + 2):
             search = _Search(g, DEFAULT_CONFIG, _Solved())
@@ -879,16 +888,38 @@ def test_generous_budget_still_exact():
     "config",
     [SolverConfig(node_budget=0), SolverConfig(time_budget=0.0), SolverConfig(memo_capacity=0)],
 )
-def test_budget_stop_with_pinned_bounds_returns_certificate(config):
-    # K2, P3 with its middle vertex at index 0 (graph6 Bo) and at index 1
-    # (Bg), and a disconnected graph: the bounds meet, so the DFS ranking
-    # behind the upper bound is an optimal witness.
-    graphs = [path(2), Graph(3, [(0, 1), (0, 2)]), path(3), Graph(6, [(0, 1), (2, 3), (2, 4)])]
-    for g in graphs:
+def test_budget_stop_with_pinned_bounds_returns_certificate(monkeypatch, config):
+    # The star K_1,5 with its centre at 0 and at 5, and K_6, each need one
+    # node, which every zero budget stops. Their bounds meet, so the DFS
+    # ranking behind the upper bound is an optimal witness.
+    dfs_rankings = []
+    real = solver._dfs_ranking
+
+    def counted(g):
+        dfs_rankings.append(g)
+        return real(g)
+
+    monkeypatch.setattr(solver, "_dfs_ranking", counted)
+    stopped = [
+        (Graph(6, [(0, v) for v in range(1, 6)]), 2),
+        (Graph(6, [(v, 5) for v in range(5)]), 2),
+        (complete(6), 6),
+    ]
+    for g, value in stopped:
         cert = treedepth(g, config)
-        assert cert.value == 2
-        assert cert.witness.max_label == cert.witness.colors == 2
+        assert dfs_rankings[-1] is g
+        assert cert.value == value
+        assert cert.witness.max_label == cert.witness.colors == value
         assert verify_ranking(g, cert.witness) is None
+    assert len(dfs_rankings) == len(stopped)
+    # K2, P3 with its middle vertex at index 0 (graph6 Bo) and at index 1
+    # (Bg), and a disconnected graph: closed forms and table reads, which no
+    # budget stops.
+    exact = [path(2), Graph(3, [(0, 1), (0, 2)]), path(3), Graph(6, [(0, 1), (2, 3), (2, 4)])]
+    for g in exact:
+        cert = treedepth(g, config)
+        assert cert.value == 2 and verify_ranking(g, cert.witness) is None
+    assert len(dfs_rankings) == len(stopped)
 
 
 def test_budget_stops_resume_on_exact_memo():

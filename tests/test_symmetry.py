@@ -206,9 +206,9 @@ def test_witness_under_the_orbit_rule_is_the_canonical_elimination(oracle_td):
 def test_orbit_rule_keeps_values_and_witnesses_on_small_graphs(small_sweep):
     # Every connected labeled graph on at most 6 vertices, with generators
     # forced on; the pruned value is also checked against the oracle. The
-    # plain certificate is the session's sweep's: treedepth fetches no
-    # generators for a lone search below 9 vertices.
-    assert solver._LONE_SEARCH_MIN_VERTICES > 6
+    # plain certificate is the session's sweep's: graphs below 7 vertices
+    # get no generators.
+    assert solver._GENERATORS_MIN_VERTICES > 6
     for adj, value, labels, oracle in small_sweep.graphs:
         g = Graph.from_adj(adj)
         pruned = _Search(g, DEFAULT_CONFIG, _Solved(gens=automorphism_generators(g))).certificate()
@@ -277,13 +277,13 @@ def test_both_reports_on_one_graph_search_its_generators_once(monkeypatch, build
 
 
 def test_generators_are_searched_only_for_large_underived_graphs():
-    small = cartesian_k2(4)
+    small = cartesian_k2(3)
     assert treedepth(small).stats.symmetry_skips == 0
     assert solver._solved_for(small).gens is None
-    big = cartesian_k2(5)
-    assert treedepth(big).stats.symmetry_skips > 0
-    assert solver._solved_for(big).gens == automorphism_generators(big)
-    # a graph whose answer needs no node gets none searched for
+    for big in (cartesian_k2(4), cartesian_k2(5)):
+        assert treedepth(big).stats.symmetry_skips > 0
+        assert solver._solved_for(big).gens == automorphism_generators(big)
+    # a graph whose nodes all close before their first branch gets none
     clique = complete(12)
     treedepth(clique)
     assert solver._solved_for(clique).gens is None
