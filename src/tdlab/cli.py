@@ -4,7 +4,9 @@ Exit codes are a stable contract: 0 success, 1 property-check failure,
 2 parse error, 3 budget exhaustion, 4 usage error. Flags mirror environment
 variables with the TDLAB_ prefix (TDLAB_NODE_BUDGET, TDLAB_TIME_BUDGET,
 TDLAB_MEMO_CAPACITY, TDLAB_FORMAT, TDLAB_SEED); an explicit flag wins over
-its environment variable.
+its environment variable. Graph input is graph6 or an edge list, told apart
+by its first data line, so only `gen`, which writes a graph, takes --format.
+A budget stop prints the certified bounds on stdout, whatever the command.
 
 Stdout is deterministic for identical inputs and flags; wall-clock timings
 go to stderr.
@@ -81,7 +83,6 @@ def _seconds(text: str) -> float:
 
 
 GRAPH_FORMATS = ("edgelist", "graph6")
-_FORMAT_METAVAR = "{" + ",".join(GRAPH_FORMATS) + "}"
 
 
 def _graph_format(text: str) -> str:
@@ -147,10 +148,6 @@ def _solver_options() -> argparse.ArgumentParser:
 
 def _io_options() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--format", type=_graph_format, metavar=_FORMAT_METAVAR,
-        help="force the graph input format (default: auto-detect)",
-    )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     return p
 
@@ -176,7 +173,7 @@ def _read_text(source: str) -> str:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    return parse_graph_text(_read_text(args.graph), args.format)
+    return parse_graph_text(_read_text(args.graph))
 
 
 def _emit_json(doc) -> None:
@@ -188,18 +185,7 @@ def _emit_json(doc) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_td(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    try:
-        cert = treedepth(g, _config_from(args))
-    except BudgetExceededError as exc:
-        if args.json:
-            _emit_json(
-                {"bounds": {"lower": exc.bounds.lower, "upper": exc.bounds.upper}}
-            )
-        else:
-            print(f"budget exhausted: td in [{exc.bounds.lower}, {exc.bounds.upper}]")
-        print(f"# {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    cert = treedepth(_load_graph(args), _config_from(args))
     if args.json:
         _emit_json(
             {
@@ -233,7 +219,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.graph == "-" and args.ranking == "-":
         raise ValueError("only one of GRAPH and RANKING can read from stdin")
-    g = parse_graph_text(_read_text(args.graph), args.format)
+    g = _load_graph(args)
     r = parse_ranking(_read_text(args.ranking))
     violation = verify_ranking(g, r)
     if violation is None:
@@ -405,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("size", type=int)
     p.add_argument(
-        "--format", type=_graph_format, metavar=_FORMAT_METAVAR,
+        "--format", type=_graph_format, metavar="{" + ",".join(GRAPH_FORMATS) + "}",
         help="output format (default edgelist)",
     )
     p.set_defaults(func=cmd_gen)
@@ -427,10 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int, default=None, help="restrict to one vertex")
     p.set_defaults(func=cmd_unique1)
 
-    p = sub.add_parser("reproduce", parents=[solver_opts],
+    p = sub.add_parser("reproduce", parents=[io_opts, solver_opts],
                        help="certify the hn family up to n_max")
     p.add_argument("n_max", type=int)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("selftest", help="reduced-scale cross-validation suites")
@@ -454,10 +439,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:
-        print(
-            f"budget exhausted: td in [{exc.bounds.lower}, {exc.bounds.upper}]",
-            file=sys.stderr,
-        )
+        lower, upper = exc.bounds.lower, exc.bounds.upper
+        if args.json:
+            _emit_json({"bounds": {"lower": lower, "upper": upper}})
+        else:
+            print(f"budget exhausted: td in [{lower}, {upper}]")
+        print(f"# {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

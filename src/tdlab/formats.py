@@ -1,14 +1,17 @@
 """Text formats: edge-list files, graph6 strings, and ranking lines.
 
+Lines whose first non-blank character is ``#`` and blank lines are ignored
+on input, in every format.
+
 Edge list: first line ``n m``, then m lines ``u v`` with 0-based vertex
-indices. Lines whose first non-blank character is ``#`` and blank lines are
-ignored. Output is normalized: u < v on every edge line, edges ascending.
+indices. Output is normalized: u < v on every edge line, edges ascending.
 
 graph6: the compact ASCII encoding used by the common graph tool chains
 (6 bits per character, offset 63, upper triangle packed column by column,
 padded with zero bits). Both the short form (n <= 62) and the 4-character
 long form are supported; an optional ``>>graph6<<`` header is accepted on
-input.
+input, before the graph on its line or on a line of its own. One graph
+line per input.
 
 Ranking line: ``k: l_0 l_1 ... l_{n-1}``.
 """
@@ -21,6 +24,7 @@ from .graphs import Graph
 from .ranking import Ranking
 
 _GRAPH6_HEADER = ">>graph6<<"
+_NOT_GRAPH6 = re.compile(r"[^?-~]")  # outside chr(63)..chr(126)
 _FIELD = re.compile(r"\S+")
 
 
@@ -40,9 +44,8 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((lineno, raw))
+        if stripped and stripped[0] != "#":
+            out.append((lineno, raw))
     return out
 
 
@@ -70,7 +73,10 @@ def _int_tokens(lineno: int, line: str, expect: int, start: int = 0) -> list[int
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
-    lines = _data_lines(text)
+    return _parse_edge_list(_data_lines(text))
+
+
+def _parse_edge_list(lines: list[tuple[int, str]]) -> Graph:
     if not lines:
         raise FormatError("empty input", line=1)
     lineno, header = lines[0]
@@ -133,50 +139,50 @@ def format_graph6(g: Graph) -> str:
     return head + "".join([chr(63 + (bits >> s & 63)) for s in range(pos - 6, -1, -6)])
 
 
-def _graph6_error(message: str, text: str, index: int, column: bool = False) -> FormatError:
-    """An error at `text[index]`: its 1-based line, and its column if asked.
-
-    Lines are split as `splitlines` splits them. The place is computed only
-    here, so a valid input pays nothing for it.
-    """
-    lines = (text[:index] + "x").splitlines()
-    return FormatError(message, line=len(lines), column=len(lines[-1]) if column else None)
-
-
 def parse_graph6(text: str) -> Graph:
-    # Errors name places in `text` as given: `start` indexes the encoding's
-    # first character, past leading blanks and the optional header.
-    start = len(text) - len(text.lstrip())
-    if text.startswith(_GRAPH6_HEADER, start):
-        start += len(_GRAPH6_HEADER)
-        start = len(text) - len(text[start:].lstrip())
-    s = text[start:].rstrip()
-    if not s:
+    return _parse_graph6(_data_lines(text))
+
+
+def _parse_graph6(lines: list[tuple[int, str]]) -> Graph:
+    if lines and lines[0][1].strip() == _GRAPH6_HEADER:  # a header line of its own
+        lines = lines[1:]
+    if not lines:
         raise FormatError("empty graph6 input", line=1)
-    if min(s) < "?" or max(s) > "~":  # outside chr(63)..chr(126)
-        bad = re.search(r"[^?-~]", s)
-        raise _graph6_error(
-            f"invalid graph6 character {bad.group()!r}", text, start + bad.start(), column=True
+    if len(lines) > 1:
+        raise FormatError(f"expected one graph6 line, found {len(lines)}", line=lines[1][0])
+    # Columns name places in the line as given: `start` indexes the
+    # encoding's first character, past leading blanks and the header.
+    lineno, line = lines[0]
+    start = len(line) - len(line.lstrip())
+    if line.startswith(_GRAPH6_HEADER, start):
+        start += len(_GRAPH6_HEADER)
+        start = len(line) - len(line[start:].lstrip())
+    s = line[start:].rstrip()
+    bad = _NOT_GRAPH6.search(s)
+    if bad:
+        raise FormatError(
+            f"invalid graph6 character {bad.group()!r}",
+            line=lineno, column=start + bad.start() + 1,
         )
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
-            raise _graph6_error("graph6 8-byte size form exceeds the 64-vertex cap", text, start)
+            raise FormatError("graph6 8-byte size form exceeds the 64-vertex cap", line=lineno)
         if len(s) < 4:
-            raise _graph6_error("truncated graph6 size field", text, start)
+            raise FormatError("truncated graph6 size field", line=lineno)
         n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
         body = s[4:]
     else:
         n = ord(s[0]) - 63
         body = s[1:]
     if n == 0:
-        raise _graph6_error("graphs must have at least one vertex", text, start)
+        raise FormatError("graphs must have at least one vertex", line=lineno)
     if n > 64:
-        raise _graph6_error(f"graph on {n} vertices exceeds the 64-vertex cap", text, start)
+        raise FormatError(f"graph on {n} vertices exceeds the 64-vertex cap", line=lineno)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:
-        raise _graph6_error(
-            f"graph6 body for n={n} needs {need} characters, found {len(body)}", text, start
+        raise FormatError(
+            f"graph6 body for n={n} needs {need} characters, found {len(body)}", line=lineno
         )
     # The whole body as one integer, first character highest; the padding is
     # its low 6 * need - nbits bits.
@@ -185,7 +191,7 @@ def parse_graph6(text: str) -> Graph:
         bits = bits << 6 | (ch - 63)
     pos = 6 * need
     if bits & ((1 << (pos - nbits)) - 1):
-        raise _graph6_error("nonzero padding bits in graph6 body", text, start)
+        raise FormatError("nonzero padding bits in graph6 body", line=lineno)
     # Column col is the next col bits, row 0 highest. Every edge has
     # row < col < n and sets both rows, so the Graph invariants hold.
     rows = [0] * n
@@ -202,25 +208,30 @@ def parse_graph6(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Auto-detection. Valid edge lists start with a digit line; graph6 characters
-# all live in the 63..126 range, so the two first-byte profiles are disjoint.
+# Auto-detection. An edge list's first data line starts with a digit or a
+# sign (int() reads "+3"); graph6 characters all live in the 63..126 range,
+# so the two first-character profiles are disjoint.
 # ---------------------------------------------------------------------------
 
 def detect_graph_format(text: str) -> str:
-    for raw in text.splitlines():  # the first data line, by _data_lines' rules
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            return "edgelist" if stripped[0].isdigit() else "graph6"
-    raise FormatError("empty graph input", line=1)
+    return _detect(_data_lines(text))
+
+
+def _detect(lines: list[tuple[int, str]]) -> str:
+    if not lines:
+        raise FormatError("empty graph input", line=1)
+    first = lines[0][1].lstrip()[0]
+    return "edgelist" if first.isdigit() or first in "+-" else "graph6"
 
 
 def parse_graph_text(text: str, fmt: str | None = None) -> Graph:
+    lines = _data_lines(text)  # split once, for detection and parsing both
     if fmt is None:
-        fmt = detect_graph_format(text)
+        fmt = _detect(lines)
     if fmt == "edgelist":
-        return parse_edge_list(text)
+        return _parse_edge_list(lines)
     if fmt == "graph6":
-        return parse_graph6(text)
+        return _parse_graph6(lines)
     raise ValueError(f"unknown graph format {fmt!r}")
 
 

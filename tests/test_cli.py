@@ -152,6 +152,20 @@ def test_td_budget_exhaustion_exit_code(tmp_path, capsys):
     assert "td in [" in out
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("command", ["td", "critical", "unique1"])
+def test_budget_stop_prints_bounds_for_every_command(capsys, command, json_flag):
+    # A stop of the base solve prints one document, whichever command made it.
+    gpath = str(PERFBENCH / "inputs" / "hn7.g6")
+    code, out, err = run(capsys, [command, *json_flag, "--node-budget", "0", gpath])
+    assert code == 3
+    if json_flag:
+        assert out == '{"bounds": {"lower": 6, "upper": 9}}\n'
+    else:
+        assert out == "budget exhausted: td in [6, 9]\n"
+    assert err == "# node budget of 0 exhausted\n"
+
+
 def test_td_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("3 2\n0 1\n0 x\n")
@@ -322,6 +336,8 @@ def test_unique1_json_with_witnesses_is_pinned(capsys, name):
     code, out, _ = run(capsys, ["unique1", "--json", str(PERFBENCH / "inputs" / f"{name}.g6")])
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == UNIQUE1_JSON_SHA256[name]
+    # CI compares the same stdout with this fixture under two hash seeds
+    assert out == (Path(__file__).parent / f"unique1_{name}.json").read_text(encoding="ascii")
 
 
 # -- reproduce -----------------------------------------------------------------------------
@@ -368,8 +384,12 @@ def test_selftest_passes(capsys):
 
 def test_env_format_mirror(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TDLAB_FORMAT", "graph6")
-    gpath = write_graph(tmp_path, cycle(5), fmt="graph6")
-    code, out, _ = run(capsys, ["td", gpath])
+    code, out, _ = run(capsys, ["gen", "kak2", "3"])
+    assert code == 0
+    assert out == "E{Sw\n"
+    # Input commands read the format from the input, never from the variable.
+    monkeypatch.setenv("TDLAB_FORMAT", "edgelist")
+    code, out, _ = run(capsys, ["td", write_graph(tmp_path, cycle(5), fmt="graph6")])
     assert code == 0
     assert "td: 4" in out
 
@@ -392,26 +412,26 @@ def test_env_node_budget_mirror(tmp_path, capsys, monkeypatch):
 )
 def test_env_malformed_value_is_usage_error(tmp_path, capsys, monkeypatch, name, value):
     monkeypatch.setenv("TDLAB_" + name, value)
-    argv = ["selftest"] if name == "SEED" else ["td", write_graph(tmp_path, cycle(5))]
+    argv = {"SEED": ["selftest"], "FORMAT": ["gen", "hn", "4"]}.get(
+        name, ["td", write_graph(tmp_path, cycle(5))]
+    )
     code, out, err = run(capsys, argv)
     assert code == 4
     assert out == ""
     assert f"TDLAB_{name}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["td", "gen", "verify", "critical", "unique1"])
-def test_format_flag_is_checked_like_its_env_mirror(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command", ["gen"])
+def test_format_flag_is_checked_like_its_env_mirror(capsys, monkeypatch, command):
     # The flag and TDLAB_FORMAT go through the same validator, so both give
-    # the same message; usage still lists the choices.
-    target = ["hn", "4"] if command == "gen" else [write_graph(tmp_path, cycle(5))]
-    if command == "verify":
-        target.append(target[0])
-    code, out, flag_err = run(capsys, [command, *target, "--format", "xyz"])
+    # the same message; usage still lists the choices. Only `gen` takes the
+    # flag: it chooses the output format.
+    code, out, flag_err = run(capsys, [command, "hn", "4", "--format", "xyz"])
     assert code == 4
     assert out == ""
     assert "--format {edgelist,graph6}" in flag_err
     monkeypatch.setenv("TDLAB_FORMAT", "xyz")
-    code, out, env_err = run(capsys, [command, *target])
+    code, out, env_err = run(capsys, [command, "hn", "4"])
     assert code == 4
     assert out == ""
     message = env_err.strip().split("TDLAB_FORMAT: ")[1]
@@ -498,11 +518,18 @@ def test_no_command_is_usage_error(capsys):
         ("unique1", "--threads", "4"),
         ("reproduce", "--threads", "4"),
         ("reproduce", "--format", "graph6"),
+        # input commands read the format from the input
+        ("td", "--format", "graph6"),
+        ("verify", "--format", "graph6"),
+        ("critical", "--format", "graph6"),
+        ("unique1", "--format", "graph6"),
     ],
 )
 def test_removed_options_are_usage_errors(tmp_path, capsys, command, flag, value):
-    target = "4" if command == "reproduce" else write_graph(tmp_path, hn(4)[0])
-    code, out, err = run(capsys, [command, target, flag, value])
+    target = ["4"] if command == "reproduce" else [write_graph(tmp_path, hn(4)[0])]
+    if command == "verify":
+        target.append(target[0])
+    code, out, err = run(capsys, [command, *target, flag, value])
     assert code == 4
     assert out == ""
     assert flag in err

@@ -159,11 +159,24 @@ def test_graph6_rejects_bad_input():
         ("?", "graphs must have at least one vertex (line 1)"),
         ("~?B~", "graph on 255 vertices exceeds the 64-vertex cap (line 1)"),
         ("~~~~~~~~", "graph6 8-byte size form exceeds the 64-vertex cap (line 1)"),
+        # blank and `#` lines are skipped; one graph line per input
+        ("# note\n  Dh c", "invalid graph6 character ' ' (line 2, column 5)"),
+        ("# only comments\n", "empty graph6 input (line 1)"),
+        ("Dhc\nDhc\n", "expected one graph6 line, found 2 (line 2)"),
+        ("# one\nBg\n# two\nBg\nBg", "expected one graph6 line, found 3 (line 4)"),
     ]
     for text, message in cases:
         with pytest.raises(FormatError) as err:
             parse_graph6(text)
         assert str(err.value) == message, text
+
+
+def test_graph6_skips_comment_lines():
+    # Blank and `#` lines are skipped as in every format, so the parser
+    # accepts whatever detection sends it.
+    for text in ["# comment\nDhc", "Dhc\n# trailing\n", "\n  # a\n\nDhc\n\n", ">>graph6<<\nDhc\n"]:
+        assert detect_graph_format(text) == "graph6"
+        assert parse_graph6(text) == parse_graph_text(text) == parse_graph6("Dhc"), repr(text)
 
 
 def test_graph6_matches_reference_library():
@@ -192,7 +205,8 @@ def test_detect_graph_format_reads_the_first_data_line_only():
         lines = _data_lines(text)
         if not lines:
             raise FormatError("empty graph input", line=1)
-        return "edgelist" if lines[0][1].lstrip()[0].isdigit() else "graph6"
+        first = lines[0][1].lstrip()[0]
+        return "edgelist" if first.isdigit() or first in "+-" else "graph6"
 
     empty = ["", "\n", "  \n\t\n\n", "# only\n  # comments\n", "\r\n# crlf\r\n\r\n", "#"]
     for text in empty:
@@ -210,10 +224,17 @@ def test_detect_graph_format_reads_the_first_data_line_only():
         "Bg\n3 2\n",  # only the first data line decides
         "3 2\nBg\n",
         "\u2028Bg",  # splitlines also splits at U+2028
+        "+3 2\n0 1\n1 2\n",  # int() reads a sign, so a header may start with one
+        "  -3 2\n",
     ]
     for text in texts:
         assert detect_graph_format(text) == by_data_lines(text), repr(text)
     assert [detect_graph_format(t) for t in texts[:4]] == ["edgelist", "graph6", "edgelist", "graph6"]
+    assert [detect_graph_format(t) for t in texts[-2:]] == ["edgelist", "edgelist"]
+    assert parse_graph_text(texts[-2]) == path(3)
+    with pytest.raises(FormatError) as err:
+        parse_graph_text(texts[-1])
+    assert str(err.value) == "bad header counts n=-3 m=2 (line 1)"
 
 
 def test_parse_graph_text_forced_format():
