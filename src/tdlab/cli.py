@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .critical import (
@@ -125,6 +126,19 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def parse_args(self, args=None, namespace=None):
+        # An unknown option that takes a value makes argparse read its value
+        # as a positional and leave the next one over, so when options are
+        # among the leftovers, only they are named. Like argparse, `-` and a
+        # negative number are not options.
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            options = [
+                a for a in extras if a.startswith("-") and not re.fullmatch(r"-|-\d+|-\d*\.\d+", a)
+            ]
+            self.error(f"unrecognized arguments: {' '.join(options or extras)}")
+        return parsed
 
 
 def _solver_options() -> argparse.ArgumentParser:

@@ -18,8 +18,18 @@ below a bound, and answers with the exact value or a proven lower bound of
 at least that bound. Exact values go to the memo and lower bounds to a
 second store beside it (connected masks only, too), which later queries
 read. A mask of at most 2 vertices is answered by its size and never
-stored. A clique needs no rule of its own: its greedy clique bound meets its
-DFS height, so its node closes before any branch.
+stored. A node's incumbent, its best value so far, starts at an upper
+bound. On more than `_SMALL_MAX_VERTICES` + 1 vertices that is the height of
+a DFS tree of the mask, whose deepest path also bounds td from below by
+ceil(log2(height + 1)). A smaller node does without both: each of its
+branches is answered exactly at once, by one read of the table of small
+subgraphs (below) or, on 3 vertices, by the size of its rest, so its
+incumbent starts at the number of its vertices. Only a clique has that
+value, so wherever else such a node writes an exact value, a branch has
+lowered the incumbent and recorded the pick the witness takes (see the
+witness below). A clique needs no rule of its own: its greedy clique bound
+meets the incumbent's start, its DFS height or, at a small node, its size,
+so its node closes before any branch.
 
 Two textbook facts about k-rankings are read from the degrees of the branch
 order. In an elimination forest every vertex adjacent to all others of a
@@ -111,15 +121,15 @@ recurses into the components of the rest. When a node writes its exact
 value and some branch lowered its incumbent, the vertex v that did so last
 is kept beside it (`_Solved.pick`), and the witness takes v. Every other
 mask (the DFS height was never beaten, the lower bound met the cap before
-any branch improved, or the value was copied from a parent by `derive`) is
-rebuilt by a scan of the branch order for the first vertex whose rest has
-every component below td(mask). Both give the same vertex. v attains
-td(mask): its branch was answered exactly below the cap, and the incumbent
-it set is the node's value. So the first attaining vertex a comes no later
-than v, and the loop reached it. The cap ends at td(mask), lowered there by
-v, and a branch lowers it to td(mask) only if it attains. So if a was
-tried, the cap was still above td(mask), a lowered it to td(mask), and no
-later branch went below: v is a. The one property every rule that prunes
+any branch improved, as at a clique, or the value was copied from a parent
+by `derive`) is rebuilt by a scan of the branch order for the first vertex
+whose rest has every component below td(mask). Both give the same vertex.
+v attains td(mask): its branch was answered exactly below the cap, and the
+incumbent it set is the node's value. So the first attaining vertex a comes
+no later than v, and the loop reached it. The cap ends at td(mask), lowered
+there by v, and a branch lowers it to td(mask) only if it attains. So if a
+was tried, the cap was still above td(mask), a lowered it to td(mask), and
+no later branch went below: v is a. The one property every rule that prunes
 the branch loop must keep is therefore that it never skips the first
 attaining vertex; the orbit rule keeps it (see above).
 """
@@ -163,9 +173,11 @@ class SolverConfig(NamedTuple):
     of branches, connected or not: they are read from the process-wide
     table of small subgraphs (see the module docstring), which no capacity
     counts and whose missing entries are filled outside the call's budget.
-    A clique on 6 or more vertices is an ordinary node, which closes before
-    any branch. A node with a vertex adjacent to all others branches on that
-    vertex alone.
+    A node on 6 vertices is one node whose every branch is such a read; its
+    incumbent starts at its size, not at a DFS height, so it may read more
+    rests before it closes, but it spends no more budget. A clique on 6 or
+    more vertices is an ordinary node, which closes before any branch. A
+    node with a vertex adjacent to all others branches on that vertex alone.
     """
 
     node_budget: int | None = None
@@ -317,7 +329,11 @@ def _split(adj: tuple[int, ...], rest: int, nbrs: int) -> list[int]:
 # 6 vertices, table emptied first, took 0.79 s without the table, 0.71 s with
 # a limit of 4, 0.48 s with 5 and 0.66 s with 6, where every 6-vertex graph
 # pays a fill at its top level (CPython 3.11, one core; the table then held
-# connected non-cliques only).
+# connected non-cliques only). A node on at most one vertex more reads every
+# branch from the table, exactly, so it starts its incumbent at its size and
+# computes no DFS height (see `_Search.solve_conn`). Larger nodes keep the
+# DFS height: starting every node at its size took the 8 G(16, 0.3) graphs of
+# perfbench/inputs/gnp16.txt from 28,257 to 47,070 nodes.
 _SMALL_MAX_VERTICES = 5
 
 # The exact tree-depth and witness labels, by position, of every labeled graph
@@ -331,18 +347,23 @@ _small_table: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 def _small_key(adj: tuple[int, ...], mask: int) -> int:
     """The labeled subgraph on `mask`: a sentinel bit, then each vertex's
-    adjacency to the later vertices of the mask, vertices in ascending order."""
+    adjacency to the later vertices of the mask, vertices in ascending order.
+
+    A row gets one bit per later vertex, the first of them highest, so an
+    edge to b sets the bit whose index is the number of later vertices above b.
+    """
     key = 1
     m = mask
     while m:
         low = m & -m
         m ^= low
         row = adj[low.bit_length() - 1] & m
-        r = m
-        while r:
-            b = r & -r
-            key = key << 1 | (row & b != 0)
-            r ^= b
+        c = 0
+        while row:
+            b = row & -row
+            c |= 1 << (m & -(b << 1)).bit_count()
+            row ^= b
+        key = key << m.bit_count() | c
     return key
 
 
@@ -493,11 +514,13 @@ class _Search:
         needs no connected mask. A mask of at most 2 vertices is answered by
         its size, before it counts as a node and without a store entry. A
         node has td >= 1 + its least degree (see the module docstring). At a
-        node on at most `_SMALL_MAX_VERTICES` + 1 vertices
-        each branch reads its whole rest from the table. Elsewhere it asks
-        the components of its rest, through `solve_set`, only whether they
-        beat the current cap (the incumbent, or `ub` if lower), so most
-        subproblems are never solved exactly. Whatever a branch
+        node on at most `_SMALL_MAX_VERTICES` + 1 vertices each branch reads
+        its whole rest from the table, exactly, so its incumbent starts at
+        its size. Elsewhere it starts at the DFS height, which also gives the
+        log-height lower bound, and a branch asks the components of its
+        rest, through `solve_set`, only whether they beat the current cap
+        (the incumbent, or `ub` if lower), so most subproblems are never
+        solved exactly. Whatever a branch
         learns bounds td(mask - v) from below, and so td(mask) too: once
         such a bound reaches the cap, the remaining branches are skipped.
         A vertex adjacent to all others comes first in branch order and is
@@ -535,14 +558,21 @@ class _Search:
         order = _branch_order(adj, mask)
         top = order[0]
         universal = (adj[top] & mask).bit_count() == cnt - 1
-        root = (mask & -mask).bit_length() - 1
-        best = height = _dfs_height(adj, mask, root)
-        cap = min(height, ub)
+        if cnt <= _SMALL_MAX_VERTICES + 1:
+            # Every branch is answered exactly at once (see the module
+            # docstring), so the incumbent starts at the trivial bound.
+            best = cnt
+            log_height = 0
+        else:
+            best = _dfs_height(adj, mask, (mask & -mask).bit_length() - 1)
+            # the DFS tree's deepest path has td = ceil(log2(height + 1))
+            log_height = _ceil_log2(best + 1)
+        cap = min(best, ub)
         # A vertex of least degree, order[-1], as a leaf of an elimination
         # forest has all its neighbours among its ancestors.
         lb = max(
             _greedy_clique(adj, order),
-            _ceil_log2(height + 1),
+            log_height,
             known,
             1 + (adj[order[-1]] & mask).bit_count(),
         )
@@ -589,7 +619,7 @@ class _Search:
         else:
             floor = lb
         # Below ub the cap was always the incumbent, so no branch beats best.
-        # Otherwise best is the DFS height, exact only if floor reaches it.
+        # Otherwise best is the starting incumbent, exact only if floor reaches it.
         if best < ub or floor >= best:
             self._store(memo, mask, best)
             if chosen >= 0:
@@ -600,7 +630,7 @@ class _Search:
 
     # -- witness ---------------------------------------------------------------
 
-    def _witness_conn(self, mask: int, out: dict[int, int]) -> None:
+    def _witness_conn(self, mask: int, out: list[int]) -> None:
         # Give the canonical vertex (see the module docstring) the top rank of
         # this subproblem and recurse into the remaining components: the
         # vertex the search recorded in `pick`, or else the first in branch
@@ -663,21 +693,20 @@ class _Search:
         self.entries[mask] = entry
         return entry
 
-    def _solve_whole(self, mask: int) -> tuple[int, dict[int, int]]:
+    def _solve_whole(self, mask: int) -> tuple[int, list[int]]:
         """Exact tree-depth of the subgraph on `mask`, connected or not, and
-        the witness labels of its vertices: its components' side by side."""
+        the witness labels of its vertices, indexed by vertex: its
+        components' side by side."""
         comps = component_masks(self.adj, mask)
         value = self.solve_set(comps)
-        out: dict[int, int] = {}
+        out = [0] * self.g.n
         for c in comps:
             self._witness_conn(c, out)
         return value, out
 
     def certificate(self) -> TdCertificate:
-        n = self.g.n
-        value, out = self._solve_whole((1 << n) - 1)
-        labels = tuple(out[v] for v in range(n))
-        return TdCertificate(value, Ranking(labels, value), self.stats())
+        value, out = self._solve_whole(self.g.full_mask())
+        return TdCertificate(value, Ranking(tuple(out), value), self.stats())
 
 
 class _Solved:

@@ -533,3 +533,23 @@ def test_removed_options_are_usage_errors(tmp_path, capsys, command, flag, value
     assert code == 4
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize(
+    "before, after, named",
+    [
+        # argparse reads the removed flag's value as GRAPH and leaves the file
+        # over; only the flag is named
+        (["--format", "graph6"], [], "--format"),
+        (["--threads", "4"], [], "--threads"),
+        # a stray positional is named as it is
+        ([], ["extra"], "extra"),
+    ],
+    ids=["format", "threads", "positional"],
+)
+def test_unrecognized_arguments_name_the_options(tmp_path, capsys, before, after, named):
+    path = write_graph(tmp_path, hn(4)[0])
+    code, out, err = run(capsys, ["td", *before, path, *after])
+    assert code == 4
+    assert out == ""
+    assert err.splitlines()[-1] == f"tdlab: error: unrecognized arguments: {named}"

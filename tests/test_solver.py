@@ -209,6 +209,31 @@ def test_bounded_solve_is_exact_below_ub_and_a_lower_bound_above():
                 assert value <= exact_td(g.adj, mask, td), (g, bin(mask), ub)
 
 
+def test_small_nodes_are_exact_at_and_below_td_plus_one(monkeypatch, small_sweep):
+    # A node on at most _SMALL_MAX_VERTICES + 1 vertices starts its incumbent
+    # at its size, with neither a DFS height nor the log-height bound. For
+    # every connected labeled 6-vertex graph, with td read from the
+    # small_sweep fixture, a fresh search of the full mask asked for a value
+    # below td proves td, and one asked below td + 1 answers td exactly and
+    # records the branch that attained it, except on K6, which closes before
+    # any branch. A log-height bound taken from the size, ceil(log2(7)) = 3,
+    # fails here on the six labeled stars K1,5, whose td is 2.
+    monkeypatch.setattr(solver, "_dfs_height", None)  # a small node must not call it
+    checked = 0
+    for adj, value, _, _ in small_sweep.graphs:
+        if len(adj) != 6:
+            continue
+        checked += 1
+        g = Graph.from_adj(adj)
+        full = g.full_mask()
+        assert _Search(g, DEFAULT_CONFIG, _Solved()).solve_conn(full, value) == value, g
+        search = _Search(g, DEFAULT_CONFIG, _Solved())
+        assert search.solve_conn(full, value + 1) == value, g
+        assert search.memo == {full: value}, g
+        assert (full in search.pick) == (value < 6), g
+    assert checked == 26704
+
+
 # sha256 over "graph6 td labels" lines of every connected labeled graph on at
 # most 6 vertices, as computed by the exact search before it was bounded.
 SMALL6_WITNESS_SHA256 = "253ec8d6d6dcf4dab7a786ca6ce6cf319537eee1e40d986d88b2ff11946c7a65"
@@ -275,7 +300,7 @@ def test_recorded_picks_give_the_scan_witness():
         solved.pick = NoPicks()
         scanned = _Search(g, DEFAULT_CONFIG, solved).certificate()
         assert scanned.witness == cert.witness, format_graph6(g)
-    assert (len(graphs), picked) == (3454, 2936)
+    assert (len(graphs), picked) == (3454, 3426)
 
 
 # -- the table of small subgraphs ----------------------------------------------
