@@ -18,18 +18,16 @@ below a bound, and answers with the exact value or a proven lower bound of
 at least that bound. Exact values go to the memo and lower bounds to a
 second store beside it (connected masks only, too), which later queries
 read. A mask of at most 2 vertices is answered by its size and never
-stored. A node's incumbent, its best value so far, starts at an upper
-bound. On more than `_SMALL_MAX_VERTICES` + 1 vertices that is the height of
-a DFS tree of the mask, whose deepest path also bounds td from below by
-ceil(log2(height + 1)). A smaller node does without both: each of its
+stored. A node's incumbent, its best value so far, starts at the number of
+its vertices. Only a clique has that value, so wherever else a node writes
+an exact value, a branch has lowered the incumbent (see the witness below).
+A clique needs no rule of its own: its greedy clique bound meets the
+incumbent's start, so its node closes before any branch. A node on more
+than `_SMALL_MAX_VERTICES` + 1 vertices also computes the height of a DFS
+tree of the mask, whose deepest path bounds td from below by
+ceil(log2(height + 1)). A smaller node does without it: each of its
 branches is answered exactly at once, by one read of the table of small
-subgraphs (below) or, on 3 vertices, by the size of its rest, so its
-incumbent starts at the number of its vertices. Only a clique has that
-value, so wherever else such a node writes an exact value, a branch has
-lowered the incumbent and recorded the pick the witness takes (see the
-witness below). A clique needs no rule of its own: its greedy clique bound
-meets the incumbent's start, its DFS height or, at a small node, its size,
-so its node closes before any branch.
+subgraphs (below) or, on 3 vertices, by the size of its rest.
 
 Two textbook facts about k-rankings are read from the degrees of the branch
 order. In an elimination forest every vertex adjacent to all others of a
@@ -103,9 +101,10 @@ What the search learns about a graph is kept on that Graph object, in its
 graph derived from it, is alive. Equal but distinct objects solve
 separately; values and witnesses do not depend on which one is asked.
 Concurrent callers need no lock: every memo writer computes the identical
-value, every pick writer the identical vertex (written after the value), and
-every lower bound written is valid, so two threads that create a graph's
-entry at once lose at most one entry's work, never a value.
+value, every pick writer the identical vertex, written before the value, so
+a reader that finds a value finds its pick, and every lower bound written
+is valid, so two threads that create a graph's entry at once lose at most
+one entry's work, never a value.
 
 The brute-force oracle searches the space of labelings instead of the space
 of elimination orders, which keeps the two routes to a tree-depth value
@@ -117,21 +116,22 @@ subproblem, so identical inputs always produce identical certificates.
 
 The witness is the canonical elimination: the first vertex in branch order
 whose removal attains td(mask) gets the mask's value, and the witness
-recurses into the components of the rest. When a node writes its exact
-value and some branch lowered its incumbent, the vertex v that did so last
-is kept beside it (`_Solved.pick`), and the witness takes v. Every other
-mask (the DFS height was never beaten, the lower bound met the cap before
-any branch improved, as at a clique, or the value was copied from a parent
-by `derive`) is rebuilt by a scan of the branch order for the first vertex
-whose rest has every component below td(mask). Both give the same vertex.
-v attains td(mask): its branch was answered exactly below the cap, and the
-incumbent it set is the node's value. So the first attaining vertex a comes
-no later than v, and the loop reached it. The cap ends at td(mask), lowered
-there by v, and a branch lowers it to td(mask) only if it attains. So if a
-was tried, the cap was still above td(mask), a lowered it to td(mask), and
-no later branch went below: v is a. The one property every rule that prunes
-the branch loop must keep is therefore that it never skips the first
-attaining vertex; the orbit rule keeps it (see above).
+recurses into the components of the rest. Every exact value is kept with
+that vertex beside it (`_Solved.pick`), so the witness rebuild is a walk of
+picks. A node's pick starts at the first vertex in branch order, and each
+branch that lowers the incumbent replaces it. If no branch did, the node
+is a clique (see above), where every vertex attains. Otherwise the vertex v
+that lowered it last is the first attaining vertex a. v attains td(mask):
+its branch was answered exactly below the cap, and the incumbent it set is
+the node's value. So a comes no later than v, and the loop reached it. The
+cap ends at td(mask), lowered there by v, and a branch lowers it to
+td(mask) only if it attains. So if a was tried, the cap was still above
+td(mask), a lowered it to td(mask), and no later branch went below: v is a.
+A value that `derive` copies from the identical subgraph of a parent brings
+the parent's pick, re-indexed the way the step re-indexes the graph, which
+keeps the branch order. The one property every rule that prunes the branch
+loop must keep is therefore that it never skips the first attaining
+vertex; the orbit rule keeps it (see above).
 """
 
 from __future__ import annotations
@@ -173,11 +173,12 @@ class SolverConfig(NamedTuple):
     of branches, connected or not: they are read from the process-wide
     table of small subgraphs (see the module docstring), which no capacity
     counts and whose missing entries are filled outside the call's budget.
-    A node on 6 vertices is one node whose every branch is such a read; its
-    incumbent starts at its size, not at a DFS height, so it may read more
-    rests before it closes, but it spends no more budget. A clique on 6 or
-    more vertices is an ordinary node, which closes before any branch. A
-    node with a vertex adjacent to all others branches on that vertex alone.
+    A node on 6 vertices is one node whose every branch is such a read.
+    Every node's incumbent starts at its size. A clique on 6 or more
+    vertices is an ordinary node, which closes before any branch; its
+    witness rebuild then solves the clique one vertex smaller, and so on
+    down to 6 vertices, one node each. A node with a vertex adjacent to all
+    others branches on that vertex alone.
     """
 
     node_budget: int | None = None
@@ -195,8 +196,11 @@ class SolverStats(NamedTuple):
     module docstring): vertices of an expanded node's branch order that an
     earlier vertex of their orbit stood for. `table_reads` counts the
     distinct subgraphs (masks) the call read from the table of small
-    subgraphs; a fill's reads and the witness rebuild's, from the call's
-    own copy, are not counted, so no count depends on what the table held.
+    subgraphs, the witness rebuild's included; a fill's reads are not
+    counted, so no count depends on what the table held. The rebuild
+    mostly reads masks the search read already; below a clique, which
+    closes before any branch, or a value copied from a parent, its reads
+    are new.
     """
 
     nodes: int
@@ -277,9 +281,11 @@ def _dfs_height(adj: tuple[int, ...], mask: int, root: int, depth: list | None =
 def _branch_order(adj: tuple[int, ...], mask: int) -> list[int]:
     """Vertices of `mask` by decreasing degree inside `mask`, ties by lowest index.
 
-    This is the solver's one branch order: the search, the witness rebuild
-    and the greedy clique bound all use it. Degrees and indices are below
-    64, so one packed integer key per vertex sorts the same way as the pair.
+    This is the solver's one branch order: the search and the greedy clique
+    bound use it, and the witness takes the first vertex in it whose removal
+    attains the optimum (see the module docstring). Degrees and indices are
+    below 64, so one packed integer key per vertex sorts the same way as the
+    pair.
     """
     keys = []
     m = mask
@@ -330,10 +336,12 @@ def _split(adj: tuple[int, ...], rest: int, nbrs: int) -> list[int]:
 # a limit of 4, 0.48 s with 5 and 0.66 s with 6, where every 6-vertex graph
 # pays a fill at its top level (CPython 3.11, one core; the table then held
 # connected non-cliques only). A node on at most one vertex more reads every
-# branch from the table, exactly, so it starts its incumbent at its size and
-# computes no DFS height (see `_Search.solve_conn`). Larger nodes keep the
-# DFS height: starting every node at its size took the 8 G(16, 0.3) graphs of
-# perfbench/inputs/gnp16.txt from 28,257 to 47,070 nodes.
+# branch from the table, exactly, so it computes no DFS height (see
+# `_Search.solve_conn`). Larger nodes keep it for the log-height lower
+# bound: without that bound the 8 G(16, 0.3) graphs of
+# perfbench/inputs/gnp16.txt took 47,248 search nodes, and with it 28,326,
+# the same whether the incumbent starts at the DFS height or at the size
+# (in-process, table emptied first, fills counted).
 _SMALL_MAX_VERTICES = 5
 
 # The exact tree-depth and witness labels, by position, of every labeled graph
@@ -374,16 +382,16 @@ class _Search:
     `_Solved`): `memo`, the exact values, and `lower`, proven lower bounds of
     subproblems that were only asked whether they beat a bound. Every entry
     is valid whatever the caller's incumbent, so a call stopped by its budget
-    leaves only exact values and valid bounds. Beside an exact value it
-    writes, the search keeps in `pick` the branch that set it, if any, which
-    the witness rebuild reads. A graph built by `derive`
+    leaves only exact values and valid bounds. Beside every exact value it
+    writes, and before it, the search keeps in `pick` the canonical vertex
+    of the mask, which the witness rebuild reads. A graph built by `derive`
     also reads both stores of its parent (`_Solved.parent`), through the
     lift of `_inherit`. Where the two induced subgraphs are identical, an
-    exact value read there is copied into the memo and a lower bound raises
-    the subproblem's own. Where they are one step apart, the parent's value,
-    or else its lower bound, minus 1 raises it. Both reads happen in one
-    place, at the top of `solve_conn`, before the subproblem counts as a
-    node, and only an exact value is written.
+    exact value read there is copied into the memo with its pick, and a
+    lower bound raises the subproblem's own. Where they are one step apart,
+    the parent's value, or else its lower bound, minus 1 raises it. Both
+    reads happen in one place, at the top of `solve_conn`, before the
+    subproblem counts as a node, and only an exact value is written.
     """
 
     __slots__ = (
@@ -431,12 +439,16 @@ class _Search:
             raise _BudgetHit(f"time budget of {cfg.time_budget}s exhausted")
         self.nodes += 1
 
-    def _store(self, store: dict[int, int], mask: int, value: int) -> None:
+    def _store(self, store: dict[int, int], mask: int, value: int, pick: int = -1) -> None:
         # The memo capacity bounds the entries of both stores together, so it
-        # is checked before every write that adds one.
+        # is checked before every write that adds one. An exact value comes
+        # with its pick, written first: a reader that finds a value finds its
+        # pick, and a stop leaves neither.
         cap = self.config.memo_capacity
         if cap is not None and mask not in store and len(self.memo) + len(self.lower) >= cap:
             raise _BudgetHit(f"memo capacity of {cap} exhausted")
+        if pick >= 0:
+            self.pick[mask] = pick
         store[mask] = value
 
     def stats(self) -> SolverStats:
@@ -513,14 +525,14 @@ class _Search:
         unless it is the one whose entry this search is filling; that read
         needs no connected mask. A mask of at most 2 vertices is answered by
         its size, before it counts as a node and without a store entry. A
-        node has td >= 1 + its least degree (see the module docstring). At a
-        node on at most `_SMALL_MAX_VERTICES` + 1 vertices each branch reads
-        its whole rest from the table, exactly, so its incumbent starts at
-        its size. Elsewhere it starts at the DFS height, which also gives the
-        log-height lower bound, and a branch asks the components of its
-        rest, through `solve_set`, only whether they beat the current cap
-        (the incumbent, or `ub` if lower), so most subproblems are never
-        solved exactly. Whatever a branch
+        node has td >= 1 + its least degree (see the module docstring), and
+        its incumbent starts at its size. At a node on at most
+        `_SMALL_MAX_VERTICES` + 1 vertices each branch reads its whole rest
+        from the table, exactly. Elsewhere the node also takes the
+        log-height lower bound of a DFS tree, and a branch asks the
+        components of its rest, through `solve_set`, only whether they beat
+        the current cap (the incumbent, or `ub` if lower), so most
+        subproblems are never solved exactly. Whatever a branch
         learns bounds td(mask - v) from below, and so td(mask) too: once
         such a bound reaches the cap, the remaining branches are skipped.
         A vertex adjacent to all others comes first in branch order and is
@@ -540,12 +552,14 @@ class _Search:
         adj = self.adj
         known = self.lower.get(mask, 2)
         if self.parent is not None:
-            up, lift = self.parent
+            up, lift, drop = self.parent
             p = lift(mask)
             if p >= 0:
                 val = up.memo.get(p)
                 if val is not None:
-                    self._store(memo, mask, val)
+                    # the parent's pick, re-indexed past the dropped vertex
+                    w = up.pick[p]
+                    self._store(memo, mask, val, w - (w > drop))
                     return val
                 known = max(known, up.lower.get(p, 0))
             else:
@@ -558,28 +572,25 @@ class _Search:
         order = _branch_order(adj, mask)
         top = order[0]
         universal = (adj[top] & mask).bit_count() == cnt - 1
-        if cnt <= _SMALL_MAX_VERTICES + 1:
-            # Every branch is answered exactly at once (see the module
-            # docstring), so the incumbent starts at the trivial bound.
-            best = cnt
-            log_height = 0
-        else:
-            best = _dfs_height(adj, mask, (mask & -mask).bit_length() - 1)
-            # the DFS tree's deepest path has td = ceil(log2(height + 1))
-            log_height = _ceil_log2(best + 1)
+        # The incumbent starts at the size, which only a clique attains, and
+        # there at order[0]; a branch that lowers it replaces the pick.
+        best = cnt
+        chosen = order[0]
         cap = min(best, ub)
         # A vertex of least degree, order[-1], as a leaf of an elimination
-        # forest has all its neighbours among its ancestors.
+        # forest has all its neighbours among its ancestors. Above
+        # _SMALL_MAX_VERTICES + 1 vertices, the deepest path of a DFS tree
+        # has td = ceil(log2(height + 1)).
         lb = max(
             _greedy_clique(adj, order),
-            log_height,
+            0 if cnt <= _SMALL_MAX_VERTICES + 1
+            else _ceil_log2(_dfs_height(adj, mask, (mask & -mask).bit_length() - 1) + 1),
             known,
             1 + (adj[order[-1]] & mask).bit_count(),
         )
         # floor: the least lower bound proven for a branch that did not beat
         # cap, or lb if the loop was cut before every branch had run.
         floor = _NO_BOUND
-        chosen = -1  # the branch that last lowered the incumbent
         if lb < cap:
             # A rest on 3 to _SMALL_MAX_VERTICES vertices is one table entry,
             # connected or not.
@@ -621,9 +632,7 @@ class _Search:
         # Below ub the cap was always the incumbent, so no branch beats best.
         # Otherwise best is the starting incumbent, exact only if floor reaches it.
         if best < ub or floor >= best:
-            self._store(memo, mask, best)
-            if chosen >= 0:
-                self.pick[mask] = chosen
+            self._store(memo, mask, best, chosen)
             return best
         self._store(self.lower, mask, floor)
         return floor
@@ -631,12 +640,13 @@ class _Search:
     # -- witness ---------------------------------------------------------------
 
     def _witness_conn(self, mask: int, out: list[int]) -> None:
-        # Give the canonical vertex (see the module docstring) the top rank of
-        # this subproblem and recurse into the remaining components: the
-        # vertex the search recorded in `pick`, or else the first in branch
-        # order whose rest components all lie below the optimum. A mask on 3
-        # to `_SMALL_MAX_VERTICES` vertices, connected or not, takes the
-        # labels its table entry holds, and a rest of that size is not split.
+        # Give the mask's pick, the canonical vertex (see the module
+        # docstring), the top rank of this subproblem and recurse into the
+        # components of its rest. `solve_conn` gives the value: a memo hit, a
+        # copy from the parent, or the node of a clique nested in a clique,
+        # which closes at once; each writes its pick. A mask on 3 to
+        # `_SMALL_MAX_VERTICES` vertices, connected or not, takes the labels
+        # its table entry holds, and a rest of that size is not split.
         cnt = mask.bit_count()
         if 2 < cnt <= _SMALL_MAX_VERTICES and mask != self.filling:
             for label in self._small(mask)[1]:
@@ -645,28 +655,21 @@ class _Search:
                 mask ^= low
             return
         if cnt <= 2:
-            # what the scan picks: labels cnt, cnt - 1, ..., 1 in ascending order
+            # the lower vertex is the pick: labels cnt, ..., 1 in ascending order
             while mask:
                 low = mask & -mask
                 out[low.bit_length() - 1] = cnt
                 cnt -= 1
                 mask ^= low
             return
+        value = self.solve_conn(mask)
+        v = self.pick[mask]
+        out[v] = value
         adj = self.adj
+        rest = mask ^ (1 << v)
         small_rest = 3 < cnt <= _SMALL_MAX_VERTICES + 1
-        # Every mask that gets here, a component of the whole graph or of an
-        # attaining vertex's rest, was answered exactly, so the memo holds it.
-        target = self.memo[mask]
-        pick = self.pick.get(mask)
-        for v in _branch_order(adj, mask) if pick is None else [pick]:
-            rest = mask ^ (1 << v)
-            comps = [rest] if small_rest else _split(adj, rest, adj[v] & rest)
-            if v == pick or all(self.solve_conn(c, target) < target for c in comps):
-                out[v] = target
-                for c in comps:
-                    self._witness_conn(c, out)
-                return
-        raise AssertionError("no removal attains the memoized optimum")
+        for c in [rest] if small_rest else _split(adj, rest, adj[v] & rest):
+            self._witness_conn(c, out)
 
     # -- the table of small subgraphs -------------------------------------------
 
@@ -715,18 +718,19 @@ class _Solved:
     `memo` maps a connected mask to its exact tree-depth. `lower` maps a
     connected mask to a proven lower bound of its tree-depth; an entry is
     only ever raised, and may stay after the mask's exact value is found.
-    `pick` maps a mask of `memo` to the branch vertex that last lowered its
-    incumbent, when one did (see the module docstring); it is written only
-    together with a memo entry, so it never outgrows `memo`, and the memo
-    capacity bounds it without counting it.
+    `pick` maps each mask of `memo` to its canonical vertex, the one the
+    witness takes (see the module docstring). It is written just before the
+    memo entry, after the capacity check, so it has the same keys as `memo`,
+    and the memo capacity bounds it without counting it.
     `cert` is the finished certificate, built only by `treedepth`.
     The entry lives on its Graph object (`_solved_for`). `parent` is set by
-    `derive`: the parent graph's own entry, and the lift of `_inherit`,
-    which maps each mask of this graph to the parent mask of the identical
-    subgraph, or of the subgraph one step away. Holding the entry keeps the
-    parent's stores readable after the parent graph itself is gone. `gens`
-    are the automorphism generators the search branches by (see
-    `generators`), None until they are first needed.
+    `derive`: the parent graph's own entry, the lift of `_inherit`, which
+    maps each mask of this graph to the parent mask of the identical
+    subgraph, or of the subgraph one step away, and the dropped vertex (the
+    parent's n if none), past which a parent's pick is re-indexed. Holding
+    the entry keeps the parent's stores readable after the parent graph
+    itself is gone. `gens` are the automorphism generators the search
+    branches by (see `generators`), None until they are first needed.
     """
 
     __slots__ = ("memo", "lower", "pick", "cert", "parent", "gens")
@@ -736,7 +740,7 @@ class _Solved:
         self.lower: dict[int, int] = {}
         self.pick: dict[int, int] = {}
         self.cert: TdCertificate | None = None
-        self.parent: tuple[_Solved, Callable[[int], int]] | None = None
+        self.parent: tuple[_Solved, Callable[[int], int], int] | None = None
         self.gens = gens
 
 
@@ -796,15 +800,16 @@ def _cycle_masks(perm: tuple[int, ...]) -> list[int]:
 
 
 def _inherit_generators(
-    gens: list[tuple[int, ...]], h: Graph, drop: int | None
+    gens: list[tuple[int, ...]], h: Graph, drop: int
 ) -> list[tuple[int, ...]]:
     """The generators of the parent that fix `drop` and are automorphisms of h.
 
-    Each is re-indexed past `drop` first, the way the step re-indexes h.
+    Each is re-indexed past `drop` first, the way the step re-indexes h. A
+    `drop` of the parent's n drops no vertex.
     """
     out = []
     for perm in gens:
-        if drop is not None:
+        if drop < len(perm):
             if perm[drop] != drop:
                 continue
             perm = tuple(w - (w > drop) for v, w in enumerate(perm) if v != drop)
@@ -836,33 +841,31 @@ def derive(g: Graph, step: MinorStep | int) -> Graph:
     """
     if isinstance(step, MinorStep):
         h = apply_minor_step(g, step)
-        drop = step.dropped
+        drop = g.n if step.dropped is None else step.dropped  # g.n: none dropped
     else:
         h = star_clique(g, step)
         drop = step
     up = _solved_for(g)
     entry = _solved_for(h)
-    entry.parent = (up, _inherit(g, h, drop))
+    entry.parent = (up, _inherit(g, h, drop), drop)
     # Inherited, never searched: a search per minor took `is_critical(hn(7))`
     # from 9.6 to 30.8 ms in-process (CPython 3.11, one core).
     entry.gens = _inherit_generators(generators(g), h, drop)
     return h
 
 
-def _inherit(g: Graph, h: Graph, drop: int | None) -> Callable[[int], int]:
+def _inherit(g: Graph, h: Graph, drop: int) -> Callable[[int], int]:
     """The lift of a mask of h to the mask of g that its search reads.
 
     h is g with at most one vertex `drop` removed (higher vertices shift
-    down) and some edges changed. A mask S of h maps to the mask P of g that
-    has a 0 bit put back at `drop`. g[P] is h[S] exactly when no changed
-    edge has both ends in S; the lift returns P >= 0 then. Otherwise h[S] is
-    the step applied to g[P'], where P' is P with the bit of `drop` set, if a
-    vertex was dropped, so td(h[S]) >= td(g[P']) - 1; the lift returns the
-    negative ~P'.
+    down; a `drop` of g.n removes none) and some edges changed. A mask S of
+    h maps to the mask P of g that has a 0 bit put back at `drop`. g[P] is
+    h[S] exactly when no changed edge has both ends in S; the lift returns
+    P >= 0 then. Otherwise h[S] is the step applied to g[P'], where P' is P
+    with the bit of `drop` set, if a vertex was dropped, so td(h[S]) >=
+    td(g[P']) - 1; the lift returns the negative ~P'.
     """
-    dropped = 0 if drop is None else 1 << drop
-    if drop is None:
-        drop = g.n  # past every vertex: no bit is put back
+    dropped = 1 << drop & g.full_mask()
     rows = [_drop_bit(g.adj[u], drop) for u in range(g.n) if u != drop]
     # changed[i]: the vertices whose adjacency to i differs from the parent's
     changed = [row ^ old for row, old in zip(h.adj, rows)]

@@ -65,7 +65,9 @@ def fresh_cert(g):
 
 def assert_stores_valid(g, solved):
     # Both stores hold only connected masks; every memo value equals an
-    # unbudgeted solve of its mask and every lower bound is at most that.
+    # unbudgeted solve of its mask and has its pick, and every lower bound
+    # is at most that value.
+    assert solved.pick.keys() == solved.memo.keys()
     ref = _Search(g, DEFAULT_CONFIG, _Solved())
     for mask, value in solved.memo.items():
         assert component_masks(g.adj, mask) == [mask]
@@ -211,16 +213,18 @@ def test_bounded_solve_is_exact_below_ub_and_a_lower_bound_above():
 
 def test_small_nodes_are_exact_at_and_below_td_plus_one(monkeypatch, small_sweep):
     # A node on at most _SMALL_MAX_VERTICES + 1 vertices starts its incumbent
-    # at its size, with neither a DFS height nor the log-height bound. For
-    # every connected labeled 6-vertex graph, with td read from the
-    # small_sweep fixture, a fresh search of the full mask asked for a value
-    # below td proves td, and one asked below td + 1 answers td exactly and
-    # records the branch that attained it, except on K6, which closes before
-    # any branch. A log-height bound taken from the size, ceil(log2(7)) = 3,
-    # fails here on the six labeled stars K1,5, whose td is 2.
+    # at its size, like every node, and computes neither a DFS height nor the
+    # log-height bound. For every connected labeled 6-vertex graph, with td
+    # and the witness read from the small_sweep fixture, a fresh search of
+    # the full mask asked for a value below td proves td, and one asked below
+    # td + 1 answers td exactly with its pick: the vertex the witness labels
+    # td. On K6, which closes before any branch, that is vertex 0, the one
+    # its witness labels 6. A log-height bound taken from the size,
+    # ceil(log2(7)) = 3, fails here on the six labeled stars K1,5, whose td
+    # is 2.
     monkeypatch.setattr(solver, "_dfs_height", None)  # a small node must not call it
     checked = 0
-    for adj, value, _, _ in small_sweep.graphs:
+    for adj, value, labels, _ in small_sweep.graphs:
         if len(adj) != 6:
             continue
         checked += 1
@@ -230,7 +234,7 @@ def test_small_nodes_are_exact_at_and_below_td_plus_one(monkeypatch, small_sweep
         search = _Search(g, DEFAULT_CONFIG, _Solved())
         assert search.solve_conn(full, value + 1) == value, g
         assert search.memo == {full: value}, g
-        assert (full in search.pick) == (value < 6), g
+        assert search.pick == {full: labels.index(value)}, g
     assert checked == 26704
 
 
@@ -276,31 +280,97 @@ def test_solve_hard_witnesses_are_pinned():
     assert digest.hexdigest() == SOLVE_HARD_WITNESS_SHA256
 
 
-class NoPicks(dict):
-    # A pick store that keeps nothing, so every witness level runs the scan.
-    def __setitem__(self, mask, v):
-        pass
+def scan_pick(g, ref, mask, value):
+    # The canonical vertex by a scan: the first in branch order whose rest
+    # has every component below the mask's value, each asked of `ref`.
+    for v in _branch_order(g.adj, mask):
+        if all(ref.solve_conn(c, value) < value for c in component_masks(g.adj, mask ^ (1 << v))):
+            return v
+    raise AssertionError("no removal attains the value")
 
 
-def test_recorded_picks_give_the_scan_witness():
-    # The vertex that last lowered a node's incumbent is the one the witness
-    # scan finds (see the solver's module docstring), so building the witness
-    # from the recorded picks changes no label.
-    graphs = small6_graphs()[::8]
-    graphs += [hn(n)[0] for n in range(5, 10)] + [cartesian_k2(a) for a in range(3, 9)]
+def hard_graphs():
+    graphs = [hn(n)[0] for n in range(5, 10)] + [cartesian_k2(a) for a in range(3, 9)]
     for line in (PERFBENCH_INPUTS / "gnp16.txt").read_text().splitlines():
         if line and not line.startswith("#"):
             graphs.append(parse_graph6(line.split()[1]))
+    return graphs
+
+
+def test_recorded_picks_give_the_scan_witness():
+    # Every memo entry has its pick, and the pick is the vertex a scan of the
+    # branch order finds (see the solver's module docstring), asked of a
+    # fresh unbudgeted search, so the witness the picks build is the scan's.
+    graphs = small6_graphs()[::8] + hard_graphs()
     picked = 0
     for g in graphs:
-        cert = treedepth(g)
+        treedepth(g)
         solved = solver._solved_for(g)
-        assert solved.pick.keys() <= solved.memo.keys()
+        assert solved.pick.keys() == solved.memo.keys(), format_graph6(g)
+        ref = _Search(g, DEFAULT_CONFIG, _Solved())
+        for mask, value in solved.memo.items():
+            assert solved.pick[mask] == scan_pick(g, ref, mask, value), (format_graph6(g), bin(mask))
         picked += len(solved.pick)
-        solved.pick = NoPicks()
-        scanned = _Search(g, DEFAULT_CONFIG, solved).certificate()
-        assert scanned.witness == cert.witness, format_graph6(g)
-    assert (len(graphs), picked) == (3454, 3426)
+    assert (len(graphs), picked) == (3454, 3443)
+
+
+def test_witness_rebuild_expands_no_search_node():
+    # Each pick's rest was answered exactly by the search, so building the
+    # witness after solving the full mask costs no node. A clique closes
+    # before any branch, so its witness asks for the clique one vertex
+    # smaller: one node on K7 and two on K8.
+    for g, cost in [(g, 0) for g in hard_graphs()] + [(complete(7), 1), (complete(8), 2)]:
+        search = _Search(g, DEFAULT_CONFIG, _Solved())
+        search.solve_set(component_masks(g.adj, g.full_mask()))
+        before = search.nodes
+        search.certificate()
+        assert search.nodes - before == cost, format_graph6(g)
+
+
+class PickFirst(dict):
+    # A memo whose every write asserts that the mask's pick is already there.
+    def __init__(self, pick):
+        super().__init__()
+        self.pick = pick
+
+    def __setitem__(self, mask, value):
+        assert mask in self.pick, bin(mask)
+        super().__setitem__(mask, value)
+
+
+def pick_first(g):
+    solved = solver._solved_for(g)
+    solved.memo = PickFirst(solved.pick)
+    return solved
+
+
+def test_picks_are_written_before_their_values():
+    # A concurrent reader that finds a value must find its pick, and a
+    # capacity stop must leave neither behind: on a plain solve, on chained
+    # derived solves, which copy values and picks from their parents, and
+    # on hn(6) at every memo capacity that stops it, whether the stop comes
+    # at an exact value or at a lower bound.
+    g = hn(7)[0]
+    solved = pick_first(g)
+    treedepth(g)
+    assert solved.memo and solved.pick.keys() == solved.memo.keys()
+    h = derive(g, one_step_minor_steps(g)[0])
+    k = derive(h, 0)  # the star-clique transform at vertex 0
+    for d in (h, k):
+        solved = pick_first(d)
+        cert = treedepth(d)
+        assert solved.memo and solved.pick.keys() == solved.memo.keys()
+        assert cert.witness == fresh_cert(d).witness
+    stops = 0
+    for capacity in range(1, 40):
+        g = hn(6)[0]
+        solved = pick_first(g)
+        try:
+            treedepth(g, SolverConfig(memo_capacity=capacity))
+        except BudgetExceededError:
+            stops += 1
+        assert solved.pick.keys() == solved.memo.keys(), capacity
+    assert stops == 38
 
 
 # -- the table of small subgraphs ----------------------------------------------
@@ -562,7 +632,7 @@ def test_inherit_accepts_exactly_the_identical_subgraphs():
             up = parent_indices(step, h.n)
             dropped = dropped_vertex(step)
             drop_bit = 0 if dropped is None else 1 << dropped
-            lookup = _inherit(g, h, dropped)
+            lookup = _inherit(g, h, g.n if dropped is None else dropped)
             # differ[i]: vertices whose adjacency to i is not the parent's
             differ = [
                 h.adj[i] ^ sum(1 << j for j in range(h.n) if g.adj[up[i]] >> up[j] & 1)
@@ -601,7 +671,8 @@ def test_one_step_facts_against_the_oracle(oracle_td):
                 assert td(h) in (base - 1, base), (g, step)
             else:
                 assert td(h) >= base - 1, (g, step)
-            lift = _inherit(g, h, dropped_vertex(step))
+            dropped = dropped_vertex(step)
+            lift = _inherit(g, h, g.n if dropped is None else dropped)
             for s in range(1, 1 << h.n):
                 p = lift(s)
                 if p >= 0 or component_masks(h.adj, s) != [s]:
@@ -727,6 +798,27 @@ def test_chained_derived_solves_match_fresh_solves():
         assert cert.value == want.value and cert.witness == want.witness, (g, s1, s2)
         assert_stores_valid(h1, solver._solved_for(h1))
         assert_stores_valid(h2, solver._solved_for(derived))
+
+
+def test_picks_copied_from_a_parent_are_canonical():
+    # A value that a derived graph copies from the identical subgraph of its
+    # parent brings the parent's pick, re-indexed past the dropped vertex;
+    # each pick of the derived graph is the scan's vertex there. Every
+    # one-step minor and star-clique transform of hn(5..7) and kak2(4..6),
+    # whose copies include 11 picks past the dropped vertex.
+    shifted = 0
+    for g in [*(hn(n)[0] for n in (5, 6, 7)), *(cartesian_k2(a) for a in (4, 5, 6))]:
+        treedepth(g)
+        for step in [*one_step_minor_steps(g), *range(g.n)]:
+            h = derive(g, step)
+            treedepth(h)
+            solved = solver._solved_for(h)
+            up, lift, drop = solved.parent
+            ref = _Search(h, DEFAULT_CONFIG, _Solved())
+            for mask, value in solved.memo.items():
+                assert solved.pick[mask] == scan_pick(h, ref, mask, value), (g, step, bin(mask))
+                shifted += up.pick.get(lift(mask), -1) > drop
+    assert shifted == 11
 
 
 def test_inherited_minor_solves_expand_fewer_nodes():

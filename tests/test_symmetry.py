@@ -1,6 +1,7 @@
 """Automorphism generators and the orbit rule of the exact search."""
 
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,10 @@ from tdlab.graphs import (
     hn,
     one_step_minor_steps,
 )
-from tdlab.ranking import Ranking
+from tdlab.ranking import Ranking, verify_ranking
 from tdlab.selftest import random_graph
 from tdlab.solver import DEFAULT_CONFIG, _Search, _Solved, derive, treedepth
-from test_solver import canonical_elimination
+from test_solver import canonical_elimination, exact_td
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,6 +30,11 @@ def grid(a, b):
     edges = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
     edges += [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
     return Graph(a * b, edges)
+
+
+def circulant(n, jumps):
+    # C_n(J): i and i + j (mod n) are adjacent for every j in J
+    return Graph(n, [(i, (i + j) % n) for i in range(n) for j in jumps])
 
 
 def complete_bipartite(a, b):
@@ -237,6 +243,26 @@ def test_orbit_rule_keeps_values_and_witnesses_on_symmetric_graphs():
         g = random_graph(rng, rng.randint(9, 12), rng.random())
         pruned, plain = certs(g)
         assert pruned.value == plain.value and pruned.witness == plain.witness, g
+
+
+def test_circulant_values_match_the_subset_recursion():
+    # Every circulant C_n(J) with 9 <= n <= 12 and 1 <= |J| <= 3, J in
+    # {1..n/2}: each has generators, so its search branches by orbits, and
+    # each value is checked against exact_td, the plain recursion over
+    # subsets with no bound, orbit, table or store of the solver. A
+    # rotation maps few masks onto themselves; merging orbits by generators
+    # that move a vertex of the mask out of it gives C9 td 6, not 5.
+    checked = skips = 0
+    for n in range(9, 13):
+        for size in (1, 2, 3):
+            for jumps in combinations(range(1, n // 2 + 1), size):
+                g = circulant(n, jumps)
+                cert = treedepth(g)
+                assert cert.value == exact_td(g.adj, g.full_mask(), {}), (n, jumps)
+                assert verify_ranking(g, cert.witness) is None, (n, jumps)
+                checked += 1
+                skips += cert.stats.symmetry_skips
+    assert checked == 105 and skips > 0
 
 
 def test_orbit_rule_cuts_the_kak2_proof():
