@@ -100,11 +100,10 @@ What the search learns about a graph is kept on that Graph object, in its
 `_solved` slot (see `_Solved`), and lives exactly as long as the object, or a
 graph derived from it, is alive. Equal but distinct objects solve
 separately; values and witnesses do not depend on which one is asked.
-Concurrent callers need no lock: every memo writer computes the identical
-value, every pick writer the identical vertex, written before the value, so
-a reader that finds a value finds its pick, and every lower bound written
-is valid, so two threads that create a graph's entry at once lose at most
-one entry's work, never a value.
+Concurrent callers need no lock: every memo writer writes the identical
+(value, pick) pair, and every lower bound written is valid, so two threads
+that create a graph's entry at once lose at most one entry's work, never a
+value.
 
 The brute-force oracle searches the space of labelings instead of the space
 of elimination orders, which keeps the two routes to a tree-depth value
@@ -116,22 +115,22 @@ subproblem, so identical inputs always produce identical certificates.
 
 The witness is the canonical elimination: the first vertex in branch order
 whose removal attains td(mask) gets the mask's value, and the witness
-recurses into the components of the rest. Every exact value is kept with
-that vertex beside it (`_Solved.pick`), so the witness rebuild is a walk of
-picks. A node's pick starts at the first vertex in branch order, and each
-branch that lowers the incumbent replaces it. If no branch did, the node
-is a clique (see above), where every vertex attains. Otherwise the vertex v
-that lowered it last is the first attaining vertex a. v attains td(mask):
-its branch was answered exactly below the cap, and the incumbent it set is
-the node's value. So a comes no later than v, and the loop reached it. The
-cap ends at td(mask), lowered there by v, and a branch lowers it to
-td(mask) only if it attains. So if a was tried, the cap was still above
-td(mask), a lowered it to td(mask), and no later branch went below: v is a.
-A value that `derive` copies from the identical subgraph of a parent brings
-the parent's pick, re-indexed the way the step re-indexes the graph, which
-keeps the branch order. The one property every rule that prunes the branch
-loop must keep is therefore that it never skips the first attaining
-vertex; the orbit rule keeps it (see above).
+recurses into the components of the rest. Every exact value is kept in the
+memo with that vertex, its pick, in one entry, so the witness rebuild is a
+walk of picks. A node's pick starts at the first vertex in branch order,
+and each branch that lowers the incumbent replaces it. If no branch did,
+the node is a clique (see above), where every vertex attains. Otherwise
+the vertex v that lowered it last is the first attaining vertex a. v
+attains td(mask): its branch was answered exactly below the cap, and the
+incumbent it set is the node's value. So a comes no later than v, and the
+loop reached it. The cap ends at td(mask), lowered there by v, and a branch
+lowers it to td(mask) only if it attains. So if a was tried, the cap was
+still above td(mask), a lowered it to td(mask), and no later branch went
+below: v is a. A value that `derive` copies from the identical subgraph of
+a parent brings the parent's pick, re-indexed the way the step re-indexes
+the graph, which keeps the branch order. The one property every rule that
+prunes the branch loop must keep is therefore that it never skips the
+first attaining vertex; the orbit rule keeps it (see above).
 """
 
 from __future__ import annotations
@@ -162,23 +161,23 @@ class SolverConfig(NamedTuple):
 
     Each budget limits the new work of one `treedepth` or `treedepth_le`
     call: nodes expanded, wall time, and the number of entries the graph's
-    two stores (exact values and lower bounds, see `_Solved`) may hold
-    together. The capacity is checked before every write that adds an
-    entry, values copied from a parent graph included. Values already
-    solved for the same Graph object cost nothing, so a call whose answer
-    is already known never runs out; an equal but distinct object starts
-    from empty stores. Subproblems on at most 2 vertices are answered in
-    closed form: they are neither nodes nor store entries, so they spend no
-    budget. Nor are subgraphs on 3 to 5 vertices, subproblems or the rests
-    of branches, connected or not: they are read from the process-wide
+    two stores (exact values with their picks, and lower bounds, see
+    `_Solved`) may hold together. The capacity is checked before every write
+    that adds an entry, values copied from a parent graph included. Values
+    already solved for the same Graph object cost nothing, so a call whose
+    answer is already known never runs out; an equal but distinct object
+    starts from empty stores. Subproblems on at most 2 vertices are answered
+    in closed form: they are neither nodes nor store entries, so they spend
+    no budget. Nor are subgraphs on 3 to 5 vertices, subproblems or the
+    rests of branches, connected or not: they are read from the process-wide
     table of small subgraphs (see the module docstring), which no capacity
-    counts and whose missing entries are filled outside the call's budget.
-    A node on 6 vertices is one node whose every branch is such a read.
-    Every node's incumbent starts at its size. A clique on 6 or more
-    vertices is an ordinary node, which closes before any branch; its
-    witness rebuild then solves the clique one vertex smaller, and so on
-    down to 6 vertices, one node each. A node with a vertex adjacent to all
-    others branches on that vertex alone.
+    counts and whose missing entries are filled outside the call's budget. A
+    node on 6 vertices is one node whose every branch is such a read. Every
+    node's incumbent starts at its size. A clique on 6 or more vertices is
+    an ordinary node, which closes before any branch; its witness rebuild
+    then solves the clique one vertex smaller, and so on down to 6 vertices,
+    one node each. A node with a vertex adjacent to all others branches on
+    that vertex alone.
     """
 
     node_budget: int | None = None
@@ -379,23 +378,22 @@ class _Search:
     """One call's bounded branch-and-bound over connected vertex subsets of one graph.
 
     The search reads and writes the graph's two shared stores (see
-    `_Solved`): `memo`, the exact values, and `lower`, proven lower bounds of
-    subproblems that were only asked whether they beat a bound. Every entry
-    is valid whatever the caller's incumbent, so a call stopped by its budget
-    leaves only exact values and valid bounds. Beside every exact value it
-    writes, and before it, the search keeps in `pick` the canonical vertex
-    of the mask, which the witness rebuild reads. A graph built by `derive`
-    also reads both stores of its parent (`_Solved.parent`), through the
-    lift of `_inherit`. Where the two induced subgraphs are identical, an
-    exact value read there is copied into the memo with its pick, and a
-    lower bound raises the subproblem's own. Where they are one step apart,
-    the parent's value, or else its lower bound, minus 1 raises it. Both
-    reads happen in one place, at the top of `solve_conn`, before the
-    subproblem counts as a node, and only an exact value is written.
+    `_Solved`): `memo`, the exact values, each with the canonical vertex of
+    its mask that the witness rebuild reads, and `lower`, proven lower
+    bounds of subproblems that were only asked whether they beat a bound.
+    Every entry is valid whatever the caller's incumbent, so a call stopped
+    by its budget leaves only exact values and valid bounds. A graph built
+    by `derive` also reads both stores of its parent (`_Solved.parent`),
+    through the lift of `_inherit`. Where the two induced subgraphs are
+    identical, an exact value read there is copied into the memo with its
+    pick, and a lower bound raises the subproblem's own. Where they are one
+    step apart, the parent's value, or else its lower bound, minus 1 raises
+    it. Both reads happen in one place, at the top of `solve_conn`, before
+    the subproblem counts as a node, and only an exact value is written.
     """
 
     __slots__ = (
-        "g", "adj", "config", "memo", "lower", "pick", "parent", "cycles",
+        "g", "adj", "config", "memo", "lower", "parent", "cycles",
         "nodes", "skips", "entries", "filling", "_start", "_deadline",
     )
 
@@ -405,7 +403,6 @@ class _Search:
         self.config = config
         self.memo = solved.memo
         self.lower = solved.lower
-        self.pick = solved.pick
         self.parent = solved.parent
         # The cycles of the entry's generators; a fill's empty entry has none.
         # An entry without generators yet has none below the size gate of
@@ -439,17 +436,13 @@ class _Search:
             raise _BudgetHit(f"time budget of {cfg.time_budget}s exhausted")
         self.nodes += 1
 
-    def _store(self, store: dict[int, int], mask: int, value: int, pick: int = -1) -> None:
+    def _store(self, store: dict, mask: int, entry: int | tuple[int, int]) -> None:
         # The memo capacity bounds the entries of both stores together, so it
-        # is checked before every write that adds one. An exact value comes
-        # with its pick, written first: a reader that finds a value finds its
-        # pick, and a stop leaves neither.
+        # is checked before every write that adds one.
         cap = self.config.memo_capacity
         if cap is not None and mask not in store and len(self.memo) + len(self.lower) >= cap:
             raise _BudgetHit(f"memo capacity of {cap} exhausted")
-        if pick >= 0:
-            self.pick[mask] = pick
-        store[mask] = value
+        store[mask] = entry
 
     def stats(self) -> SolverStats:
         return SolverStats(
@@ -519,8 +512,9 @@ class _Search:
     def solve_conn(self, mask: int, ub: int = _NO_BOUND) -> int:
         """Tree-depth of the connected induced subgraph on `mask`, if it is below `ub`.
 
-        Otherwise the result is a proven lower bound L with ub <= L <= td,
-        which is kept in `lower`. A mask on 3 to `_SMALL_MAX_VERTICES`
+        An exact value that a node finds is kept in `memo` with its pick, the
+        canonical vertex; otherwise the result is a proven lower bound L with
+        ub <= L <= td, which is kept in `lower`. A mask on 3 to `_SMALL_MAX_VERTICES`
         vertices is answered from the table of small subgraphs, exactly,
         unless it is the one whose entry this search is filling; that read
         needs no connected mask. A mask of at most 2 vertices is answered by
@@ -544,9 +538,9 @@ class _Search:
         if 2 < cnt <= _SMALL_MAX_VERTICES and mask != self.filling:
             return self._small(mask)[0]
         memo = self.memo
-        val = memo.get(mask)
-        if val is not None:
-            return val
+        hit = memo.get(mask)
+        if hit:
+            return hit[0]
         if cnt <= 2:
             return cnt
         adj = self.adj
@@ -555,17 +549,18 @@ class _Search:
             up, lift, drop = self.parent
             p = lift(mask)
             if p >= 0:
-                val = up.memo.get(p)
-                if val is not None:
+                hit = up.memo.get(p)
+                if hit:
                     # the parent's pick, re-indexed past the dropped vertex
-                    w = up.pick[p]
-                    self._store(memo, mask, val, w - (w > drop))
+                    val, w = hit
+                    self._store(memo, mask, (val, w - (w > drop)))
                     return val
                 known = max(known, up.lower.get(p, 0))
             else:
                 # mask is one step from the parent's ~p: td drops by at most 1
                 p = ~p
-                known = max(known, (up.memo.get(p) or up.lower.get(p, 0)) - 1)
+                hit = up.memo.get(p)
+                known = max(known, (hit[0] if hit else up.lower.get(p, 0)) - 1)
         if known >= ub:
             return known
         self._tick()
@@ -605,9 +600,10 @@ class _Search:
                 else:
                     # Only connected masks are memoized, so a hit is the value
                     # of the whole rest and needs no split.
-                    worst = memo.get(rest)
-                    if worst is None:
-                        worst = self.solve_set(_split(adj, rest, adj[v] & rest), cap - 1)
+                    hit = memo.get(rest)
+                    worst = hit[0] if hit else self.solve_set(
+                        _split(adj, rest, adj[v] & rest), cap - 1
+                    )
                 if 1 + worst < cap:
                     best = cap = 1 + worst
                     chosen = v
@@ -632,7 +628,7 @@ class _Search:
         # Below ub the cap was always the incumbent, so no branch beats best.
         # Otherwise best is the starting incumbent, exact only if floor reaches it.
         if best < ub or floor >= best:
-            self._store(memo, mask, best, chosen)
+            self._store(memo, mask, (best, chosen))
             return best
         self._store(self.lower, mask, floor)
         return floor
@@ -642,11 +638,11 @@ class _Search:
     def _witness_conn(self, mask: int, out: list[int]) -> None:
         # Give the mask's pick, the canonical vertex (see the module
         # docstring), the top rank of this subproblem and recurse into the
-        # components of its rest. `solve_conn` gives the value: a memo hit, a
-        # copy from the parent, or the node of a clique nested in a clique,
-        # which closes at once; each writes its pick. A mask on 3 to
-        # `_SMALL_MAX_VERTICES` vertices, connected or not, takes the labels
-        # its table entry holds, and a rest of that size is not split.
+        # components of its rest. `solve_conn` leaves the memo entry: a hit,
+        # a copy from the parent, or the node of a clique nested in a
+        # clique, which closes at once. A mask on 3 to `_SMALL_MAX_VERTICES`
+        # vertices, connected or not, takes the labels its table entry
+        # holds, and a rest of that size is not split.
         cnt = mask.bit_count()
         if 2 < cnt <= _SMALL_MAX_VERTICES and mask != self.filling:
             for label in self._small(mask)[1]:
@@ -662,8 +658,8 @@ class _Search:
                 cnt -= 1
                 mask ^= low
             return
-        value = self.solve_conn(mask)
-        v = self.pick[mask]
+        self.solve_conn(mask)
+        value, v = self.memo[mask]
         out[v] = value
         adj = self.adj
         rest = mask ^ (1 << v)
@@ -715,13 +711,11 @@ class _Search:
 class _Solved:
     """What is known of one graph, and the parent it was derived from (see `derive`).
 
-    `memo` maps a connected mask to its exact tree-depth. `lower` maps a
-    connected mask to a proven lower bound of its tree-depth; an entry is
-    only ever raised, and may stay after the mask's exact value is found.
-    `pick` maps each mask of `memo` to its canonical vertex, the one the
-    witness takes (see the module docstring). It is written just before the
-    memo entry, after the capacity check, so it has the same keys as `memo`,
-    and the memo capacity bounds it without counting it.
+    `memo` maps a connected mask to the pair (value, pick): its exact
+    tree-depth and its canonical vertex, the one the witness takes (see the
+    module docstring). `lower` maps a connected mask to a proven lower bound
+    of its tree-depth; an entry is only ever raised, and may stay after the
+    mask's exact value is found.
     `cert` is the finished certificate, built only by `treedepth`.
     The entry lives on its Graph object (`_solved_for`). `parent` is set by
     `derive`: the parent graph's own entry, the lift of `_inherit`, which
@@ -733,12 +727,11 @@ class _Solved:
     branches by (see `generators`), None until they are first needed.
     """
 
-    __slots__ = ("memo", "lower", "pick", "cert", "parent", "gens")
+    __slots__ = ("memo", "lower", "cert", "parent", "gens")
 
     def __init__(self, gens: list[tuple[int, ...]] | None = None):
-        self.memo: dict[int, int] = {}
+        self.memo: dict[int, tuple[int, int]] = {}
         self.lower: dict[int, int] = {}
-        self.pick: dict[int, int] = {}
         self.cert: TdCertificate | None = None
         self.parent: tuple[_Solved, Callable[[int], int], int] | None = None
         self.gens = gens

@@ -63,18 +63,22 @@ def fresh_cert(g):
     return _Search(g, DEFAULT_CONFIG, _Solved()).certificate()
 
 
-def assert_stores_valid(g, solved):
-    # Both stores hold only connected masks; every memo value equals an
-    # unbudgeted solve of its mask and has its pick, and every lower bound
-    # is at most that value.
-    assert solved.pick.keys() == solved.memo.keys()
-    ref = _Search(g, DEFAULT_CONFIG, _Solved())
-    for mask, value in solved.memo.items():
+def assert_stores_valid(g, solved, td=None):
+    # Both stores hold only connected masks. Every memo value equals td of
+    # its mask, and its pick attains it: a vertex of the mask whose rest has
+    # every component below the value. Every lower bound is at most td of
+    # its mask. td is an unbudgeted fresh solve unless given.
+    if td is None:
+        td = _Search(g, DEFAULT_CONFIG, _Solved()).solve_conn
+    for mask, (value, pick) in solved.memo.items():
         assert component_masks(g.adj, mask) == [mask]
-        assert value == ref.solve_conn(mask), bin(mask)
+        assert value == td(mask), bin(mask)
+        assert mask >> pick & 1, (bin(mask), pick)
+        rest = component_masks(g.adj, mask ^ (1 << pick))
+        assert all(td(c) < value for c in rest), (bin(mask), pick)
     for mask, value in solved.lower.items():
         assert component_masks(g.adj, mask) == [mask]
-        assert value <= ref.solve_conn(mask), bin(mask)
+        assert value <= td(mask), bin(mask)
 
 
 def assert_memo_exact(g):
@@ -204,7 +208,7 @@ def test_bounded_solve_is_exact_below_ub_and_a_lower_bound_above():
                     assert got == want, (g, bin(mask), ub)
                 else:
                     assert ub <= got <= want, (g, bin(mask), ub)
-            for mask, value in search.memo.items():
+            for mask, (value, _) in search.memo.items():
                 assert value == exact_td(g.adj, mask, td), (g, bin(mask), ub)
             for mask, value in search.lower.items():
                 assert component_masks(g.adj, mask) == [mask]
@@ -233,8 +237,7 @@ def test_small_nodes_are_exact_at_and_below_td_plus_one(monkeypatch, small_sweep
         assert _Search(g, DEFAULT_CONFIG, _Solved()).solve_conn(full, value) == value, g
         search = _Search(g, DEFAULT_CONFIG, _Solved())
         assert search.solve_conn(full, value + 1) == value, g
-        assert search.memo == {full: value}, g
-        assert search.pick == {full: labels.index(value)}, g
+        assert search.memo == {full: (value, labels.index(value))}, g
     assert checked == 26704
 
 
@@ -298,19 +301,18 @@ def hard_graphs():
 
 
 def test_recorded_picks_give_the_scan_witness():
-    # Every memo entry has its pick, and the pick is the vertex a scan of the
-    # branch order finds (see the solver's module docstring), asked of a
-    # fresh unbudgeted search, so the witness the picks build is the scan's.
+    # Every memo entry's pick is the vertex a scan of the branch order finds
+    # (see the solver's module docstring), asked of a fresh unbudgeted
+    # search, so the witness the picks build is the scan's.
     graphs = small6_graphs()[::8] + hard_graphs()
     picked = 0
     for g in graphs:
         treedepth(g)
         solved = solver._solved_for(g)
-        assert solved.pick.keys() == solved.memo.keys(), format_graph6(g)
         ref = _Search(g, DEFAULT_CONFIG, _Solved())
-        for mask, value in solved.memo.items():
-            assert solved.pick[mask] == scan_pick(g, ref, mask, value), (format_graph6(g), bin(mask))
-        picked += len(solved.pick)
+        for mask, (value, pick) in solved.memo.items():
+            assert pick == scan_pick(g, ref, mask, value), (format_graph6(g), bin(mask))
+        picked += len(solved.memo)
     assert (len(graphs), picked) == (3454, 3443)
 
 
@@ -325,52 +327,6 @@ def test_witness_rebuild_expands_no_search_node():
         before = search.nodes
         search.certificate()
         assert search.nodes - before == cost, format_graph6(g)
-
-
-class PickFirst(dict):
-    # A memo whose every write asserts that the mask's pick is already there.
-    def __init__(self, pick):
-        super().__init__()
-        self.pick = pick
-
-    def __setitem__(self, mask, value):
-        assert mask in self.pick, bin(mask)
-        super().__setitem__(mask, value)
-
-
-def pick_first(g):
-    solved = solver._solved_for(g)
-    solved.memo = PickFirst(solved.pick)
-    return solved
-
-
-def test_picks_are_written_before_their_values():
-    # A concurrent reader that finds a value must find its pick, and a
-    # capacity stop must leave neither behind: on a plain solve, on chained
-    # derived solves, which copy values and picks from their parents, and
-    # on hn(6) at every memo capacity that stops it, whether the stop comes
-    # at an exact value or at a lower bound.
-    g = hn(7)[0]
-    solved = pick_first(g)
-    treedepth(g)
-    assert solved.memo and solved.pick.keys() == solved.memo.keys()
-    h = derive(g, one_step_minor_steps(g)[0])
-    k = derive(h, 0)  # the star-clique transform at vertex 0
-    for d in (h, k):
-        solved = pick_first(d)
-        cert = treedepth(d)
-        assert solved.memo and solved.pick.keys() == solved.memo.keys()
-        assert cert.witness == fresh_cert(d).witness
-    stops = 0
-    for capacity in range(1, 40):
-        g = hn(6)[0]
-        solved = pick_first(g)
-        try:
-            treedepth(g, SolverConfig(memo_capacity=capacity))
-        except BudgetExceededError:
-            stops += 1
-        assert solved.pick.keys() == solved.memo.keys(), capacity
-    assert stops == 38
 
 
 # -- the table of small subgraphs ----------------------------------------------
@@ -552,7 +508,7 @@ def test_cliques_close_at_their_first_node():
         for ub in range(3, k + 2):
             search = _Search(complete(k), DEFAULT_CONFIG, _Solved())
             assert search.solve_conn(full, ub) == k
-            assert search.nodes == 1 and search.memo == {full: k} and not search.lower
+            assert search.nodes == 1 and search.memo == {full: (k, 0)} and not search.lower
     # a triangle inside a larger graph, and every smaller clique of K_6
     triangle_plus = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     cases = [(triangle_plus, 0b0111)] + [(complete(6), m) for m in range(1, (1 << 6) - 1)]
@@ -782,7 +738,29 @@ def test_derived_solve_reads_a_deleted_parent():
     assert cert.stats.nodes < want.stats.nodes
 
 
+def check_chained_solve(h1, s2, h2):
+    # h1, itself derived, derived again by s2: the solve through the chain
+    # has the value and witness of a fresh solve of h2, the same graph, and
+    # valid stores. Returns the picks it copied from h1's identical
+    # subgraphs, and the vertex the step dropped.
+    derived = derive(h1, s2)
+    cert = treedepth(derived)
+    fresh = _Search(h2, DEFAULT_CONFIG, _Solved())
+    want = fresh.certificate()
+    assert cert.value == want.value and cert.witness == want.witness, (h1, s2)
+    solved = solver._solved_for(derived)
+    assert_stores_valid(h2, solved, fresh.solve_conn)
+    up, lift, drop = solved.parent
+    return [up.memo[p][1] for p in map(lift, solved.memo) if p in up.memo], drop
+
+
 def test_chained_derived_solves_match_fresh_solves():
+    # Two-step derive chains. First 25 seeded random graphs, each first
+    # step solved or not. Then every 5th step of hn(5..7) and kak2(4..6),
+    # followed by the star-clique transform at vertex 1 or 2 or the deletion
+    # of that vertex. There the second solves copy 198 values from their
+    # parents, 183 with a pick past the dropped vertex, which must be
+    # re-indexed.
     rng = random.Random(37)
     for _ in range(25):
         g = random_graph(rng, rng.randint(4, 9), rng.random())
@@ -791,13 +769,21 @@ def test_chained_derived_solves_match_fresh_solves():
         h1 = derive(g, s1)
         if rng.random() < 0.5:
             treedepth(h1)
-        s2, h2 = rng.choice(list(derived_graphs(h1)))
-        derived = derive(h1, s2)
-        cert = treedepth(derived)
-        want = fresh_cert(h2)
-        assert cert.value == want.value and cert.witness == want.witness, (g, s1, s2)
+        check_chained_solve(h1, *rng.choice(list(derived_graphs(h1))))
         assert_stores_valid(h1, solver._solved_for(h1))
-        assert_stores_valid(h2, solver._solved_for(derived))
+    copied = shifted = 0
+    for g in [*(hn(n)[0] for n in (5, 6, 7)), *(cartesian_k2(a) for a in (4, 5, 6))]:
+        treedepth(g)
+        for s1 in [*one_step_minor_steps(g), *range(g.n)][::5]:
+            h1 = derive(g, s1)
+            treedepth(h1)
+            for v in (1, 2):
+                deleted = MinorStep.del_vertex(v)
+                for s2, h2 in [(v, star_clique(h1, v)), (deleted, apply_minor_step(h1, deleted))]:
+                    picks, drop = check_chained_solve(h1, s2, h2)
+                    copied += len(picks)
+                    shifted += sum(w > drop for w in picks)
+    assert (copied, shifted) == (198, 183)
 
 
 def test_picks_copied_from_a_parent_are_canonical():
@@ -815,9 +801,9 @@ def test_picks_copied_from_a_parent_are_canonical():
             solved = solver._solved_for(h)
             up, lift, drop = solved.parent
             ref = _Search(h, DEFAULT_CONFIG, _Solved())
-            for mask, value in solved.memo.items():
-                assert solved.pick[mask] == scan_pick(h, ref, mask, value), (g, step, bin(mask))
-                shifted += up.pick.get(lift(mask), -1) > drop
+            for mask, (value, pick) in solved.memo.items():
+                assert pick == scan_pick(h, ref, mask, value), (g, step, bin(mask))
+                shifted += up.memo.get(lift(mask), (0, -1))[1] > drop
     assert shifted == 11
 
 

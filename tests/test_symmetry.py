@@ -21,7 +21,7 @@ from tdlab.graphs import (
 from tdlab.ranking import Ranking, verify_ranking
 from tdlab.selftest import random_graph
 from tdlab.solver import DEFAULT_CONFIG, _Search, _Solved, derive, treedepth
-from test_solver import canonical_elimination, exact_td
+from test_solver import assert_stores_valid, canonical_elimination, exact_td
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -249,20 +249,28 @@ def test_circulant_values_match_the_subset_recursion():
     # Every circulant C_n(J) with 9 <= n <= 12 and 1 <= |J| <= 3, J in
     # {1..n/2}: each has generators, so its search branches by orbits, and
     # each value is checked against exact_td, the plain recursion over
-    # subsets with no bound, orbit, table or store of the solver. A
-    # rotation maps few masks onto themselves; merging orbits by generators
-    # that move a vertex of the mask out of it gives C9 td 6, not 5.
-    checked = skips = 0
+    # subsets with no bound, orbit, table or store of the solver. So is
+    # every stored fact of the solve: each memo value and the pick beside
+    # it, and each lower bound. A rotation maps few masks onto themselves;
+    # merging orbits by generators that move a vertex of the mask out of it
+    # gives C9 td 6, not 5.
+    checked = skips = values = lowers = 0
     for n in range(9, 13):
         for size in (1, 2, 3):
             for jumps in combinations(range(1, n // 2 + 1), size):
                 g = circulant(n, jumps)
                 cert = treedepth(g)
-                assert cert.value == exact_td(g.adj, g.full_mask(), {}), (n, jumps)
+                td = {}
+                assert cert.value == exact_td(g.adj, g.full_mask(), td), (n, jumps)
                 assert verify_ranking(g, cert.witness) is None, (n, jumps)
+                solved = solver._solved_for(g)
+                assert_stores_valid(g, solved, lambda mask: exact_td(g.adj, mask, td))
+                values += len(solved.memo)
+                lowers += len(solved.lower)
                 checked += 1
                 skips += cert.stats.symmetry_skips
     assert checked == 105 and skips > 0
+    assert (values, lowers) == (509, 19541)
 
 
 def test_orbit_rule_cuts_the_kak2_proof():

@@ -57,10 +57,29 @@ MUTANTS = [
     Mutant(
         "parent-pick-unshifted",
         "src/tdlab/solver.py",
-        "self._store(memo, mask, val, w - (w > drop))",
-        "self._store(memo, mask, val, w)",
-        ("tests/test_solver.py::test_picks_copied_from_a_parent_are_canonical",),
+        "self._store(memo, mask, (val, w - (w > drop)))",
+        "self._store(memo, mask, (val, w))",
+        (
+            "tests/test_solver.py::test_picks_copied_from_a_parent_are_canonical",
+            "tests/test_solver.py::test_chained_derived_solves_match_fresh_solves",
+        ),
         "a pick copied from the parent is not re-indexed past the dropped vertex",
+    ),
+    Mutant(
+        "M6",
+        "src/tdlab/solver.py",
+        "known = max(known, (hit[0] if hit else up.lower.get(p, 0)) - 1)",
+        "known = max(known, hit[0] if hit else up.lower.get(p, 0))",
+        ("tests/test_acceptance.py::test_criterion_02_hn_criticality",),
+        "a subproblem one step from the parent's takes the parent's value or bound without the - 1",
+    ),
+    Mutant(
+        "M7",
+        "src/tdlab/solver.py",
+        "self._store(self.lower, mask, floor)",
+        "self._store(self.lower, mask, floor + 1)",
+        ("tests/test_acceptance.py::test_criterion_02_hn_criticality",),
+        "a lower-store entry is written one above the bound the node proved",
     ),
 ]
 
